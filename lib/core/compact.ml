@@ -73,26 +73,27 @@ let retire_arc t ~owner p =
   t.arc_at.(i) <- q;
   (* Broken_swap (mutation battery): forget to reindex the arc swapped
      into the vacated position — the classic swap-to-back bug. *)
-  if t.fault <> Some Broken_swap then t.pos_of.(q) <- i;
+  (match t.fault with Some Broken_swap -> () | _ -> t.pos_of.(q) <- i);
   t.arc_at.(last) <- p;
   t.pos_of.(p) <- last;
   t.counts.(owner) <- t.counts.(owner) - 1;
   Bitset.set t.visited p;
   (* Stale_popcount (mutation battery): leave the cached counter behind
      the bitset it is supposed to summarize. *)
-  if t.fault <> Some Stale_popcount then t.retired <- t.retired + 1
+  match t.fault with
+  | Some Stale_popcount -> ()
+  | _ -> t.retired <- t.retired + 1
 
+(* Slot [p] stores the neighbour across its edge, so the owner of each of
+   the edge's two slots is [slot_vertex] of the other: no pair is built. *)
 let retire_edge t e =
-  let p1, p2 = Graph.edge_positions t.g e in
-  let u, v = Graph.endpoints t.g e in
-  retire_arc t ~owner:u p1;
-  retire_arc t ~owner:v p2
+  let p1 = Graph.edge_slot_fst t.g e and p2 = Graph.edge_slot_snd t.g e in
+  retire_arc t ~owner:(Graph.slot_vertex t.g p2) p1;
+  retire_arc t ~owner:(Graph.slot_vertex t.g p1) p2
 
 let arc_visited t p = Bitset.get t.visited p
 
-let edge_visited t e =
-  let p1, _ = Graph.edge_positions t.g e in
-  Bitset.get t.visited p1
+let edge_visited t e = Bitset.get t.visited (Graph.edge_slot_fst t.g e)
 
 let retired_arcs t = t.retired
 let edges_retired t = t.retired / 2

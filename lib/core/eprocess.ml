@@ -27,7 +27,11 @@ type t = {
   coverage : Coverage.t;
   marks : marks;
   record_phases : bool;
-  mutable current_phase : (phase_kind * int * Graph.vertex) option;
+  (* The phase in progress, unboxed so a transition allocates nothing;
+     [phase_step] is -1 before the first step. *)
+  mutable phase_kind : phase_kind;
+  mutable phase_step : int;
+  mutable phase_vertex : Graph.vertex;
   mutable phases : phase list; (* reversed *)
   mutable observer : (Ewalk_obs.Trace.event -> unit) option;
   mutable phase_observer : (Ewalk_obs.Trace.event -> unit) option;
@@ -77,7 +81,9 @@ let create ?(rule = Uar) ?(record_phases = false) ?approx g rng ~start =
     coverage;
     marks;
     record_phases;
-    current_phase = None;
+    phase_kind = Blue;
+    phase_step = -1;
+    phase_vertex = 0;
     phases = [];
     observer = None;
     phase_observer = None;
@@ -196,25 +202,22 @@ let emit_phase t kind =
 
 let record_phase_transition t next_is_blue =
   let now_kind = if next_is_blue then Blue else Red in
-  match t.current_phase with
-  | None ->
-      t.current_phase <- Some (now_kind, t.steps, t.pos);
-      emit_phase t now_kind
-  | Some (kind, start_step, start_vertex) ->
-      if kind <> now_kind then begin
-        if t.record_phases then
-          t.phases <-
-            {
-              kind;
-              start_step;
-              start_vertex;
-              end_step = t.steps;
-              end_vertex = t.pos;
-            }
-            :: t.phases;
-        t.current_phase <- Some (now_kind, t.steps, t.pos);
-        emit_phase t now_kind
-      end
+  if t.phase_step < 0 || t.phase_kind <> now_kind then begin
+    if t.phase_step >= 0 && t.record_phases then
+      t.phases <-
+        {
+          kind = t.phase_kind;
+          start_step = t.phase_step;
+          start_vertex = t.phase_vertex;
+          end_step = t.steps;
+          end_vertex = t.pos;
+        }
+        :: t.phases;
+    t.phase_kind <- now_kind;
+    t.phase_step <- t.steps;
+    t.phase_vertex <- t.pos;
+    emit_phase t now_kind
+  end
 
 let choose_blue_slot_exact t c k =
   let v = t.pos in
@@ -369,7 +372,9 @@ let checkpoint t =
     ck_coverage = Coverage.save t.coverage;
     ck_unvisited;
     ck_record_phases = t.record_phases;
-    ck_current_phase = t.current_phase;
+    ck_current_phase =
+      (if t.phase_step < 0 then None
+       else Some (t.phase_kind, t.phase_step, t.phase_vertex));
     ck_phases = List.rev t.phases;
   }
 
@@ -380,6 +385,13 @@ let of_checkpoint g ck =
     ck.ck_steps < 0 || ck.ck_blue_steps < 0 || ck.ck_red_steps < 0
     || ck.ck_blue_steps + ck.ck_red_steps <> ck.ck_steps
   then invalid_arg "Eprocess.of_checkpoint: inconsistent step counters";
+  let phase_kind, phase_step, phase_vertex =
+    match ck.ck_current_phase with
+    | None -> (Blue, -1, 0)
+    | Some (_, s, _) when s < 0 ->
+        invalid_arg "Eprocess.of_checkpoint: phase starts before step 0"
+    | Some p -> p
+  in
   {
     g;
     rng = Rng.restore ck.ck_rng;
@@ -395,7 +407,9 @@ let of_checkpoint g ck =
     coverage = Coverage.restore g ck.ck_coverage;
     marks = Exact (Compact.restore g ck.ck_unvisited);
     record_phases = ck.ck_record_phases;
-    current_phase = ck.ck_current_phase;
+    phase_kind;
+    phase_step;
+    phase_vertex;
     phases = List.rev ck.ck_phases;
     observer = None;
     phase_observer = None;

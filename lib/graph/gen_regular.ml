@@ -55,60 +55,76 @@ let random_regular_rejection ?(max_attempts = 10_000) rng n r =
 
 (* One Steger–Wormald construction attempt: match random suitable stub
    pairs until done, or return None if the remaining stubs are provably
-   unmatchable. *)
+   unmatchable.  Row [v] of [partners] (the [r] ints from [v * r]) holds
+   the [placed.(v)] neighbours [v] has so far, so the suitability test
+   scans at most [r] ints; the edges go straight into the endpoint arrays
+   the graph keeps. *)
 let steger_wormald_attempt rng n r =
   let stubs = stubs_of_degrees (Array.make n r) in
   let live = ref (Array.length stubs) in
-  let adjacent = Hashtbl.create (2 * n * r) in
-  let key u v = if u < v then (u, v) else (v, u) in
-  let b = Builder.create ~n in
-  let suitable u v = u <> v && not (Hashtbl.mem adjacent (key u v)) in
-  let take_pair () =
-    (* Draw stub positions until a suitable pair appears; after too many
-       consecutive misses, scan exhaustively to decide dead vs unlucky. *)
-    let rec draw misses =
-      if misses > 50 + (10 * !live) then scan ()
-      else begin
-        let i = Rng.int rng !live in
-        let j = Rng.int rng !live in
-        if i = j then draw (misses + 1)
-        else begin
-          let u = stubs.(i) and v = stubs.(j) in
-          if suitable u v then Some (i, j) else draw (misses + 1)
-        end
-      end
-    and scan () =
-      let found = ref None in
-      (let i = ref 0 in
-       while !found = None && !i < !live - 1 do
-         let j = ref (!i + 1) in
-         while !found = None && !j < !live do
-           if suitable stubs.(!i) stubs.(!j) then found := Some (!i, !j);
-           incr j
-         done;
-         incr i
-       done);
-      !found
-    in
-    draw 0
+  let partners = Array.make (n * r) 0 in
+  let placed = Array.make n 0 in
+  let m = Array.length stubs / 2 in
+  let edge_u = Array.make m 0 and edge_v = Array.make m 0 in
+  let added = ref 0 in
+  let suitable u v =
+    u <> v
+    &&
+    let stop = (u * r) + placed.(u) in
+    let p = ref (u * r) in
+    while !p < stop && partners.(!p) <> v do
+      incr p
+    done;
+    !p = stop
+  in
+  let connect u v =
+    partners.((u * r) + placed.(u)) <- v;
+    placed.(u) <- placed.(u) + 1;
+    partners.((v * r) + placed.(v)) <- u;
+    placed.(v) <- placed.(v) + 1;
+    edge_u.(!added) <- u;
+    edge_v.(!added) <- v;
+    incr added
+  in
+  (* Draw stub positions until a suitable pair appears; after too many
+     consecutive misses, scan exhaustively to decide dead vs unlucky. *)
+  let rec draw misses =
+    if misses > 50 + (10 * !live) then scan ()
+    else begin
+      let i = Rng.int rng !live in
+      let j = Rng.int rng !live in
+      if i = j then draw (misses + 1)
+      else if suitable stubs.(i) stubs.(j) then Some (i, j)
+      else draw (misses + 1)
+    end
+  and scan () =
+    let found = ref None in
+    (let i = ref 0 in
+     while !found = None && !i < !live - 1 do
+       let j = ref (!i + 1) in
+       while !found = None && !j < !live do
+         if suitable stubs.(!i) stubs.(!j) then found := Some (!i, !j);
+         incr j
+       done;
+       incr i
+     done);
+    !found
   in
   let remove_positions i j =
     (* Remove the larger index first so the smaller one stays valid. *)
-    let hi = max i j and lo = min i j in
+    let hi = if i > j then i else j and lo = if i > j then j else i in
     stubs.(hi) <- stubs.(!live - 1);
     decr live;
     stubs.(lo) <- stubs.(!live - 1);
     decr live
   in
   let rec fill () =
-    if !live = 0 then Some (Builder.to_graph b)
+    if !live = 0 then Some (Graph.of_endpoints ~n ~edge_u ~edge_v)
     else begin
-      match take_pair () with
+      match draw 0 with
       | None -> None
       | Some (i, j) ->
-          let u = stubs.(i) and v = stubs.(j) in
-          Hashtbl.replace adjacent (key u v) ();
-          Builder.add_edge b u v;
+          connect stubs.(i) stubs.(j);
           remove_positions i j;
           fill ()
     end

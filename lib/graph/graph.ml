@@ -12,46 +12,52 @@ type t = {
   edge_pos : int array; (* 2m: slots of edge e at indices 2e and 2e+1 *)
 }
 
-let of_edge_array ~n edges =
-  if n < 0 then invalid_arg "Graph.of_edge_array: n < 0";
-  let m = Array.length edges in
-  Array.iter
-    (fun (u, v) ->
-      if u < 0 || u >= n || v < 0 || v >= n then
-        invalid_arg "Graph.of_edge_array: vertex out of range")
-    edges;
-  let deg = Array.make n 0 in
-  Array.iter
-    (fun (u, v) ->
-      deg.(u) <- deg.(u) + 1;
-      deg.(v) <- deg.(v) + 1)
-    edges;
+(* Validate, then lay out the CSR.  [name] prefixes the error messages
+   so each public constructor reports under its own name. *)
+let build ~name ~n edge_u edge_v =
+  if n < 0 then invalid_arg (name ^ ": n < 0");
+  let m = Array.length edge_u in
+  if Array.length edge_v <> m then
+    invalid_arg (name ^ ": endpoint arrays differ in length");
+  for e = 0 to m - 1 do
+    let u = edge_u.(e) and v = edge_v.(e) in
+    if u < 0 || u >= n || v < 0 || v >= n then
+      invalid_arg (name ^ ": vertex out of range")
+  done;
   let xadj = Array.make (n + 1) 0 in
+  for e = 0 to m - 1 do
+    let u = edge_u.(e) + 1 and v = edge_v.(e) + 1 in
+    xadj.(u) <- xadj.(u) + 1;
+    xadj.(v) <- xadj.(v) + 1
+  done;
   for v = 0 to n - 1 do
-    xadj.(v + 1) <- xadj.(v) + deg.(v)
+    xadj.(v + 1) <- xadj.(v) + xadj.(v + 1)
   done;
   let cursor = Array.sub xadj 0 n in
   let adj_vertex = Array.make (2 * m) 0 in
   let adj_edge = Array.make (2 * m) 0 in
-  let edge_u = Array.make m 0 in
-  let edge_v = Array.make m 0 in
   let edge_pos = Array.make (2 * m) 0 in
-  Array.iteri
-    (fun e (u, v) ->
-      edge_u.(e) <- u;
-      edge_v.(e) <- v;
-      let pu = cursor.(u) in
-      cursor.(u) <- pu + 1;
-      adj_vertex.(pu) <- v;
-      adj_edge.(pu) <- e;
-      edge_pos.(2 * e) <- pu;
-      let pv = cursor.(v) in
-      cursor.(v) <- pv + 1;
-      adj_vertex.(pv) <- u;
-      adj_edge.(pv) <- e;
-      edge_pos.((2 * e) + 1) <- pv)
-    edges;
+  for e = 0 to m - 1 do
+    let u = edge_u.(e) and v = edge_v.(e) in
+    let pu = cursor.(u) in
+    cursor.(u) <- pu + 1;
+    adj_vertex.(pu) <- v;
+    adj_edge.(pu) <- e;
+    edge_pos.(2 * e) <- pu;
+    let pv = cursor.(v) in
+    cursor.(v) <- pv + 1;
+    adj_vertex.(pv) <- u;
+    adj_edge.(pv) <- e;
+    edge_pos.((2 * e) + 1) <- pv
+  done;
   { n; m; xadj; adj_vertex; adj_edge; edge_u; edge_v; edge_pos }
+
+let of_endpoints ~n ~edge_u ~edge_v =
+  build ~name:"Graph.of_endpoints" ~n edge_u edge_v
+
+let of_edge_array ~n edges =
+  build ~name:"Graph.of_edge_array" ~n (Array.map fst edges)
+    (Array.map snd edges)
 
 let of_edges ~n edges = of_edge_array ~n (Array.of_list edges)
 
@@ -101,6 +107,8 @@ let adj_stop g v = g.xadj.(v + 1)
 let slot_vertex g p = g.adj_vertex.(p)
 let slot_edge g p = g.adj_edge.(p)
 let edge_positions g e = (g.edge_pos.(2 * e), g.edge_pos.((2 * e) + 1))
+let edge_slot_fst g e = g.edge_pos.(2 * e)
+let edge_slot_snd g e = g.edge_pos.((2 * e) + 1)
 
 let neighbor g v i = g.adj_vertex.(g.xadj.(v) + i)
 let neighbor_edge g v i = g.adj_edge.(g.xadj.(v) + i)
@@ -234,12 +242,13 @@ let relabel g perm =
     invalid_arg "Graph.relabel: permutation length does not match";
   ignore (inverse_permutation perm);
   (* Edge ids and their order are preserved verbatim; only endpoint labels
-     move.  [of_edge_array] assigns each vertex's adjacency slots in
+     move.  [of_endpoints] assigns each vertex's adjacency slots in
      global edge order, so every vertex's region keeps its relative slot
      order — a walk on the relabelled graph is isomorphic draw-for-draw
      to one on the original. *)
-  of_edge_array ~n:g.n
-    (Array.init g.m (fun e -> (perm.(g.edge_u.(e)), perm.(g.edge_v.(e)))))
+  of_endpoints ~n:g.n
+    ~edge_u:(Array.map (fun u -> perm.(u)) g.edge_u)
+    ~edge_v:(Array.map (fun v -> perm.(v)) g.edge_v)
 
 let reorder g order =
   let perm = reorder_permutation g order in

@@ -21,7 +21,18 @@ val of_edges : n:int -> (vertex * vertex) list -> t
     @raise Invalid_argument on a vertex outside [0 .. n-1] or [n < 0]. *)
 
 val of_edge_array : n:int -> (vertex * vertex) array -> t
-(** Array flavour of {!of_edges}. *)
+(** Array flavour of {!of_edges}; splits the pairs and calls
+    {!of_endpoints}. *)
+
+val of_endpoints : n:int -> edge_u:vertex array -> edge_v:vertex array -> t
+(** [of_endpoints ~n ~edge_u ~edge_v] builds the graph whose edge [e]
+    joins [edge_u.(e)] and [edge_v.(e)] — the same graph as
+    [of_edge_array ~n] on the zipped pairs, with the same edge ids and
+    slot order, but without a tuple per edge.  The graph keeps both
+    arrays as its own endpoint tables: the caller hands them over and
+    must not modify them afterwards.
+    @raise Invalid_argument if [n < 0], if the arrays differ in length,
+    or on a vertex outside [0 .. n-1]. *)
 
 val n : t -> int
 (** Number of vertices. *)
@@ -67,6 +78,12 @@ val slot_edge : t -> int -> edge
 val edge_positions : t -> edge -> int * int
 (** The two adjacency slot positions owned by an edge.  The first lies in
     the adjacency of the first endpoint. *)
+
+val edge_slot_fst : t -> edge -> int
+val edge_slot_snd : t -> edge -> int
+(** The first and second component of {!edge_positions}, without the
+    pair.  Since slot [p] stores the neighbour across its edge, the
+    vertex owning one slot is [slot_vertex] of the other. *)
 
 val neighbor : t -> vertex -> int -> vertex
 (** [neighbor g v i] is the [i]-th neighbour of [v], [0 <= i < degree g v]. *)

@@ -1,17 +1,25 @@
+(* The BFS loops below use an int array of n slots as their FIFO: every
+   vertex is enqueued at most once, so [tail] never passes [n]. *)
+
 let bfs_distances_bounded g s radius =
   let n = Graph.n g in
   let dist = Array.make n (-1) in
-  let queue = Queue.create () in
+  let queue = Array.make n 0 in
   dist.(s) <- 0;
-  Queue.add s queue;
-  while not (Queue.is_empty queue) do
-    let v = Queue.take queue in
+  queue.(0) <- s;
+  let head = ref 0 and tail = ref 1 in
+  while !head < !tail do
+    let v = queue.(!head) in
+    incr head;
     if dist.(v) < radius then
-      Graph.iter_neighbors g v (fun w _ ->
-          if dist.(w) < 0 then begin
-            dist.(w) <- dist.(v) + 1;
-            Queue.add w queue
-          end)
+      for p = Graph.adj_start g v to Graph.adj_stop g v - 1 do
+        let w = Graph.slot_vertex g p in
+        if dist.(w) < 0 then begin
+          dist.(w) <- dist.(v) + 1;
+          queue.(!tail) <- w;
+          incr tail
+        end
+      done
   done;
   dist
 
@@ -22,21 +30,26 @@ let distance g u v = (bfs_distances g u).(v)
 let connected_components g =
   let n = Graph.n g in
   let label = Array.make n (-1) in
+  let queue = Array.make n 0 in
   let next = ref 0 in
-  let queue = Queue.create () in
   for s = 0 to n - 1 do
     if label.(s) < 0 then begin
       let c = !next in
       incr next;
       label.(s) <- c;
-      Queue.add s queue;
-      while not (Queue.is_empty queue) do
-        let v = Queue.take queue in
-        Graph.iter_neighbors g v (fun w _ ->
-            if label.(w) < 0 then begin
-              label.(w) <- c;
-              Queue.add w queue
-            end)
+      queue.(0) <- s;
+      let head = ref 0 and tail = ref 1 in
+      while !head < !tail do
+        let v = queue.(!head) in
+        incr head;
+        for p = Graph.adj_start g v to Graph.adj_stop g v - 1 do
+          let w = Graph.slot_vertex g p in
+          if label.(w) < 0 then begin
+            label.(w) <- c;
+            queue.(!tail) <- w;
+            incr tail
+          end
+        done
       done
     end
   done;

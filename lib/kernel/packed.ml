@@ -1,11 +1,13 @@
 module Rng = Ewalk_prng.Rng
+module Xoshiro = Ewalk_prng.Xoshiro
 
 (* Struct-of-arrays PRNG bank: the four xoshiro256++ state words of every
    walker live side by side in one [Bytes.t], 32 bytes per walker, accessed
    with native-endian 64-bit loads/stores.  Walker [w]'s words occupy byte
    offsets [32w .. 32w+31]; the slices are disjoint, so distinct walkers can
    draw from the bank concurrently on different domains without
-   synchronisation.  The generator algebra below replicates [Rng] bit for
+   synchronisation.  Draws run [Xoshiro]'s own step on the walker's slice
+   ([Xoshiro.next_at] / [int_below_at]), so the bank matches [Rng] bit for
    bit — [of_rng] seeds walker [w] from [Rng.stream root w], so walker 0 of
    a 1-walker bank produces exactly the parent's future stream. *)
 
@@ -32,47 +34,11 @@ let of_rng rng ~walkers =
   done;
   t
 
-let rotl x k =
-  Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let bits64 t w = Xoshiro.next_at t.words (32 * w)
 
-(* xoshiro256++ [next] on walker [w]'s slice, exactly as [Xoshiro.next]. *)
-let bits64 t w =
-  let b = 4 * w in
-  let s0 = get t b
-  and s1 = get t (b + 1)
-  and s2 = get t (b + 2)
-  and s3 = get t (b + 3) in
-  let result = Int64.add (rotl (Int64.add s0 s3) 23) s0 in
-  let tmp = Int64.shift_left s1 17 in
-  let s2 = Int64.logxor s2 s0 in
-  let s3 = Int64.logxor s3 s1 in
-  let s1 = Int64.logxor s1 s2 in
-  let s0 = Int64.logxor s0 s3 in
-  let s2 = Int64.logxor s2 tmp in
-  let s3 = rotl s3 45 in
-  set t b s0;
-  set t (b + 1) s1;
-  set t (b + 2) s2;
-  set t (b + 3) s3;
-  result
-
-(* Uniform draw on [0, bound), the exact [Rng.int] algorithm (low-bit mask
-   for powers of two, 63-bit rejection sampling otherwise) so a packed
-   walker and an [Rng.t] restored from the same words stay in lockstep. *)
 let int t w bound =
   if bound <= 0 then invalid_arg "Packed.int: bound <= 0";
-  if bound land (bound - 1) = 0 then
-    Int64.to_int (Int64.logand (bits64 t w) (Int64.of_int (bound - 1)))
-  else begin
-    let bound64 = Int64.of_int bound in
-    let mask = Int64.max_int in
-    let limit = Int64.sub mask (Int64.rem mask bound64) in
-    let rec draw () =
-      let v = Int64.logand (bits64 t w) mask in
-      if v >= limit then draw () else Int64.to_int (Int64.rem v bound64)
-    in
-    draw ()
-  end
+  Xoshiro.int_below_at t.words (32 * w) bound
 
 let save t = Array.init (4 * t.walkers) (get t)
 

@@ -6,10 +6,10 @@
     without synchronisation (each domain touches only its own walkers'
     bytes).
 
-    The bank replicates {!Ewalk_prng.Rng} bit for bit: {!bits64} is the
-    xoshiro256++ [next] function on the walker's slice and {!int} is the
-    exact [Rng.int] draw algorithm (mask for powers of two, 63-bit
-    rejection otherwise).  {!of_rng} seeds walker [w] from
+    The bank replicates {!Ewalk_prng.Rng} bit for bit: {!bits64} and
+    {!int} are [Xoshiro.next_at] and [Xoshiro.int_below_at] on the
+    walker's slice — the same step and bounded draw [Rng] runs, so
+    {!int} allocates nothing.  {!of_rng} seeds walker [w] from
     [Rng.stream root w], so walker 0 carries a bit-identical copy of the
     root generator — the basis of the W=1 ≡ legacy equivalence. *)
 

@@ -47,20 +47,7 @@ let stream t i =
 
 let int t bound =
   if bound <= 0 then invalid_arg "Rng.int: bound <= 0";
-  if bound land (bound - 1) = 0 then
-    (* Power of two: take low bits. *)
-    Int64.to_int (Int64.logand (bits64 t) (Int64.of_int (bound - 1)))
-  else begin
-    (* Rejection sampling on the 63-bit non-negative range. *)
-    let bound64 = Int64.of_int bound in
-    let mask = Int64.max_int in
-    let limit = Int64.sub mask (Int64.rem mask bound64) in
-    let rec draw () =
-      let v = Int64.logand (bits64 t) mask in
-      if v >= limit then draw () else Int64.to_int (Int64.rem v bound64)
-    in
-    draw ()
-  end
+  Xoshiro.int_below t bound
 
 let int_in t lo hi =
   if hi < lo then invalid_arg "Rng.int_in: empty range";

@@ -50,7 +50,8 @@ val bits64 : t -> int64
 
 val int : t -> int -> int
 (** [int t bound] is uniform on [\[0, bound)].  Unbiased (rejection
-    sampling).  @raise Invalid_argument if [bound <= 0]. *)
+    sampling); allocates nothing.
+    @raise Invalid_argument if [bound <= 0]. *)
 
 val int_in : t -> int -> int -> int
 (** [int_in t lo hi] is uniform on the inclusive range [\[lo, hi\]].

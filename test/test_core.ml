@@ -390,6 +390,46 @@ let default_cap_scales () =
   let large = Cover.default_cap (Gen_classic.cycle 1000) in
   Alcotest.(check bool) "monotone in n" true (large > small)
 
+(* -- allocation (native code only: there [Gc.minor_words] does not
+   allocate itself) ---------------------------------------------------------- *)
+
+(* The opening blue phase on a random 4-regular graph — where every step
+   draws, retires an edge and records coverage — allocates nothing. *)
+let blue_phase_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Rng.create ~seed:31 () in
+    let g = Gen_regular.random_regular rng 20_000 4 in
+    let t = Eprocess.create g rng ~start:0 in
+    let w0 = Gc.minor_words () in
+    while Eprocess.in_blue_phase t do
+      Eprocess.step t
+    done;
+    let words = Gc.minor_words () -. w0 in
+    let steps = Eprocess.steps t in
+    Alcotest.(check bool) "a long blue phase" true (steps > 1000);
+    Alcotest.(check int) "all blue" steps (Eprocess.blue_steps t);
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f minor words over %d blue steps" words steps)
+      true (words < 16.)
+  end
+
+(* A whole cover of a red-walk-heavy cubic graph, with its many blue/red
+   transitions, allocates at most a constant. *)
+let cover_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Rng.create ~seed:37 () in
+    let g = Gen_regular.random_regular rng 5_000 3 in
+    let t = Eprocess.create g rng ~start:0 in
+    let w0 = Gc.minor_words () in
+    let cover = Eprocess.run_to_vertex_cover t in
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check bool) "covered" true (cover <> None);
+    Alcotest.(check bool) "red steps taken" true (Eprocess.red_steps t > 1000);
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f minor words over %d steps" words (Eprocess.steps t))
+      true (words < 16.)
+  end
+
 let () =
   Alcotest.run "core"
     [
@@ -418,6 +458,10 @@ let () =
           Alcotest.test_case "phases alternate" `Quick phases_alternate;
           Alcotest.test_case "phase lengths account steps" `Quick
             phase_lengths_account_steps;
+          Alcotest.test_case "blue phase allocates nothing" `Quick
+            blue_phase_allocates_nothing;
+          Alcotest.test_case "cover allocates nothing" `Quick
+            cover_allocates_nothing;
         ] );
       ( "observations",
         [

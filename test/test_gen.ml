@@ -310,6 +310,92 @@ let prop_cycle_union_even =
       && Graph.max_degree g = 2 * r
       && Traversal.is_connected g)
 
+(* -- known answers and allocation ------------------------------------------- *)
+
+let edge_digest g =
+  let b = Buffer.create 4096 in
+  Array.iter (fun (u, v) -> Printf.bprintf b "%d-%d," u v) (Graph.edge_array g);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Edge-array digests recorded before Steger–Wormald moved from a
+   tuple-keyed Hashtbl to flat partner rows, with the vertex cover step
+   and blue-step count of an E-process walk continuing on the same
+   generator: (seed, n, r, digest, cover step, blue steps). *)
+let regular_pins =
+  [
+      (7, 10, 3, "cbcfc3be5e4e41892a37f1bae3bf2167", 11, 10);
+      (7, 10, 4, "faa7ee358c20eb2e7c9b107331c271de", 14, 14);
+      (7, 10, 5, "9e1d9afc7566c6e1d86d491880424882", 12, 12);
+      (7, 10, 6, "b66315d29865b3ee1a4617ee3e5b49f6", 16, 16);
+      (7, 10, 7, "4b2cfb635822aa651b343b67cc10b20c", 13, 13);
+      (11, 100, 3, "b7a4208cb6a5b58283cc387b5c1e40e8", 467, 142);
+      (11, 100, 4, "8a0d95ce0181e3485af69caeb318b2a5", 186, 186);
+      (11, 100, 5, "c4e6ec7c6800e755e34120d1473f6ba4", 280, 226);
+      (11, 100, 6, "76a8350cb0bd5bef8011c96a4164a880", 206, 206);
+      (11, 100, 7, "3199e9bc4bbd7be605f76a8853e7505c", 282, 265);
+      (2012, 1000, 3, "e867f19c13db70eb341e257effbf7234", 7485, 1496);
+      (2012, 1000, 4, "34cb4ef9d787b63521e3eaafc6de16a2", 1942, 1911);
+      (2012, 1000, 5, "6fde94ba359e56fe6874a77615d9b026", 3059, 2292);
+      (2012, 1000, 6, "d379d5fd66a0cdbd610184e98c88f55b", 2900, 2898);
+      (2012, 1000, 7, "734ab101f7d89d7e73652089a1bc75ad", 3759, 3194);
+  ]
+
+let regular_known_answers () =
+  List.iter
+    (fun (seed, n, r, digest, cover, blue) ->
+      let name = Printf.sprintf "seed %d n %d r %d" seed n r in
+      Alcotest.(check string) (name ^ " random_regular") digest
+        (edge_digest (Gen_regular.random_regular (Rng.create ~seed ()) n r));
+      let rng = Rng.create ~seed () in
+      let g = Gen_regular.random_regular_connected rng n r in
+      Alcotest.(check string) (name ^ " connected") digest (edge_digest g);
+      let t = Ewalk.Eprocess.create g rng ~start:0 in
+      Alcotest.(check (option int)) (name ^ " cover step") (Some cover)
+        (Ewalk.Eprocess.run_to_vertex_cover t);
+      Alcotest.(check int) (name ^ " blue steps") blue
+        (Ewalk.Eprocess.blue_steps t))
+    regular_pins
+
+(* Dense cases restart attempts and reach the exhaustive scan; the next
+   draw pins how many draws generation consumed:
+   (seed, n, r, digest, next [Rng.int _ 1000]). *)
+let dense_pins =
+  [
+      (1, 6, 3, "0bc92dd5d7300e74d885fb17f90caf41", 734);
+      (2, 6, 4, "f1cfaf064eaaa596f112fa66b945bd21", 40);
+      (3, 6, 5, "9dd9f67f36231de4e17380ffa6d31819", 513);
+      (4, 8, 5, "89d02a1b6bd10d2f75d389aad5ddfaf3", 139);
+      (5, 8, 6, "06cd00a1d840f4c6b3731ff13adbfb33", 622);
+      (6, 8, 7, "de5311e508165930475e4c946cb3db2d", 463);
+      (9, 20000, 3, "5527eb081fcc5846a9348d1262002ca2", 827);
+      (10, 20000, 7, "6e154aa873ee64b030a41aea6c3e08a7", 387);
+  ]
+
+let dense_known_answers () =
+  List.iter
+    (fun (seed, n, r, digest, next) ->
+      let name = Printf.sprintf "seed %d n %d r %d" seed n r in
+      let rng = Rng.create ~seed () in
+      let g = Gen_regular.random_regular rng n r in
+      Alcotest.(check string) name digest (edge_digest g);
+      Alcotest.(check int) (name ^ " next draw") next (Rng.int rng 1000))
+    dense_pins
+
+(* Native code only: there [Gc.minor_words] does not allocate itself. *)
+let generation_words_per_edge () =
+  if Sys.backend_type = Sys.Native then
+    List.iter
+      (fun r ->
+        let rng = Rng.create ~seed:r () in
+        let w0 = Gc.minor_words () in
+        let g = Gen_regular.random_regular rng 20_000 r in
+        let words = Gc.minor_words () -. w0 in
+        let per_edge = words /. float_of_int (Graph.m g) in
+        Alcotest.(check bool)
+          (Printf.sprintf "r %d: %.2f minor words per edge <= 20" r per_edge)
+          true (per_edge <= 20.))
+      [ 3; 4; 7 ]
+
 let () =
   Alcotest.run "gen"
     [
@@ -354,6 +440,12 @@ let () =
           Alcotest.test_case "cycle union" `Quick cycle_union_test;
           Alcotest.test_case "distribution smoke" `Quick
             steger_wormald_unbiased_smoke;
+        ] );
+      ( "known answers",
+        [
+          Alcotest.test_case "regular digests" `Quick regular_known_answers;
+          Alcotest.test_case "dense digests" `Quick dense_known_answers;
+          Alcotest.test_case "words per edge" `Quick generation_words_per_edge;
         ] );
       ( "expanders",
         [

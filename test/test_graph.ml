@@ -349,6 +349,78 @@ let prop_csr_wellformed =
                true)
            (List.init n (fun v -> v)))
 
+(* Edge lists that may name vertices outside [0 .. n-1] and may have a
+   negative n, so both constructors' error paths are reached too. *)
+let maybe_bad_edge_list =
+  QCheck.make
+    ~print:
+      QCheck.Print.(
+        fun (n, edges) -> Printf.sprintf "n=%d %s" n (list (pair int int) edges))
+    QCheck.Gen.(
+      let* n = int_range (-1) 12 in
+      let* bad = frequency [ (3, return false); (1, return true) ] in
+      let vertex =
+        if bad || n <= 0 then int_range (-1) (max n 1) else int_bound (n - 1)
+      in
+      let* edges = list_size (int_range 0 25) (pair vertex vertex) in
+      return (n, edges))
+
+(* The message after the constructor's own name. *)
+let error_of f =
+  match f () with
+  | g -> Ok g
+  | exception Invalid_argument msg ->
+      let i = String.index msg ':' in
+      Error (String.sub msg i (String.length msg - i))
+
+let same_graph a b =
+  let n = Graph.n a and m = Graph.m a in
+  n = Graph.n b && m = Graph.m b
+  && Graph.degrees a = Graph.degrees b
+  && Graph.edge_array a = Graph.edge_array b
+  && List.for_all
+       (fun v ->
+         Graph.adj_start a v = Graph.adj_start b v
+         && Graph.adj_stop a v = Graph.adj_stop b v
+         && Graph.neighbors a v = Graph.neighbors b v)
+       (List.init n Fun.id)
+  && List.for_all
+       (fun p ->
+         Graph.slot_vertex a p = Graph.slot_vertex b p
+         && Graph.slot_edge a p = Graph.slot_edge b p)
+       (List.init (2 * m) Fun.id)
+  && List.for_all
+       (fun e ->
+         Graph.endpoints a e = Graph.endpoints b e
+         && Graph.edge_positions a e = Graph.edge_positions b e
+         && Graph.edge_positions b e
+            = (Graph.edge_slot_fst b e, Graph.edge_slot_snd b e))
+       (List.init m Fun.id)
+
+let prop_of_endpoints_matches =
+  QCheck.Test.make ~name:"of_endpoints = of_edge_array, errors included"
+    ~count:500 maybe_bad_edge_list (fun (n, edges) ->
+      let pairs = Array.of_list edges in
+      let via_pairs = error_of (fun () -> Graph.of_edge_array ~n pairs) in
+      let via_endpoints =
+        error_of (fun () ->
+            Graph.of_endpoints ~n ~edge_u:(Array.map fst pairs)
+              ~edge_v:(Array.map snd pairs))
+      in
+      match (via_pairs, via_endpoints) with
+      | Ok a, Ok b -> same_graph a b
+      | Error x, Error y -> x = y
+      | _ -> false)
+
+let of_endpoints_validation () =
+  Alcotest.check_raises "length mismatch"
+    (Invalid_argument "Graph.of_endpoints: endpoint arrays differ in length")
+    (fun () ->
+      ignore (Graph.of_endpoints ~n:3 ~edge_u:[| 0; 1 |] ~edge_v:[| 1 |]));
+  Alcotest.check_raises "vertex out of range"
+    (Invalid_argument "Graph.of_endpoints: vertex out of range") (fun () ->
+      ignore (Graph.of_endpoints ~n:2 ~edge_u:[| 0 |] ~edge_v:[| 2 |]))
+
 let prop_components_partition =
   QCheck.Test.make ~name:"components partition the vertex set" ~count:200
     random_edge_list (fun (n, edges) ->
@@ -427,6 +499,9 @@ let () =
       ( "properties",
         [
           qcheck prop_csr_wellformed;
+          qcheck prop_of_endpoints_matches;
+          Alcotest.test_case "of_endpoints validation" `Quick
+            of_endpoints_validation;
           qcheck prop_components_partition;
           qcheck prop_girth_vs_cycle_count;
         ] );

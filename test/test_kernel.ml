@@ -57,6 +57,23 @@ let packed_matches_streams () =
     done
   done
 
+(* Native code only: there [Gc.minor_words] does not allocate itself. *)
+let packed_int_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let bank = Packed.of_rng (Rng.create ~seed:13 ()) ~walkers:4 in
+    let bounds = [| 7; 8; 3; 100 |] in
+    let sink = ref 0 and draws = 100_000 in
+    let w0 = Gc.minor_words () in
+    for i = 1 to draws do
+      sink := !sink lxor Packed.int bank (i land 3) bounds.(i land 3)
+    done;
+    let words = Gc.minor_words () -. w0 in
+    ignore (Sys.opaque_identity !sink);
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f minor words over %d draws" words draws)
+      true (words < 16.)
+  end
+
 let packed_root_not_advanced () =
   let root = Rng.create ~seed:17 () in
   let before = Rng.save root in
@@ -702,6 +719,8 @@ let () =
             packed_save_restore;
           Alcotest.test_case "rng_of_walker snapshots" `Quick
             packed_rng_of_walker;
+          Alcotest.test_case "int allocates nothing" `Quick
+            packed_int_allocates_nothing;
           qcheck prop_packed_equals_streams;
         ] );
       ( "streams",

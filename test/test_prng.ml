@@ -319,6 +319,100 @@ let prop_shuffle_multiset =
       let b = Rng.shuffle rng a in
       List.sort compare (Array.to_list b) = List.sort compare l)
 
+(* -- known answers and allocation ------------------------------------------- *)
+
+let digest f =
+  let b = Buffer.create 4096 in
+  f b;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+(* Powers of two (mask path, up to 2^61) and other bounds (63-bit
+   rejection path, up to max_int), interleaved. *)
+let pin_bounds =
+  [| 1; 2; 4; 8; 1024; 1 lsl 20; 1 lsl 40; 1 lsl 61; 3; 5; 6; 7; 100;
+     1_000_003; (1 lsl 40) + 1; max_int |]
+
+(* MD5 of draw sequences, recorded before the generator state moved into
+   unboxed bytes: any change to a draw, or to how many words a bounded
+   draw consumes, changes a digest. *)
+let known_answers () =
+  List.iter
+    (fun (seed, ints, bits, floats) ->
+      let r = Rng.create ~seed () in
+      check Alcotest.string
+        (Printf.sprintf "Rng.int seed %d" seed)
+        ints
+        (digest (fun b ->
+             for i = 0 to 3999 do
+               Printf.bprintf b "%d,"
+                 (Rng.int r pin_bounds.(i mod Array.length pin_bounds))
+             done));
+      let r = Rng.create ~seed () in
+      check Alcotest.string
+        (Printf.sprintf "Rng.bits64 seed %d" seed)
+        bits
+        (digest (fun b ->
+             for _ = 1 to 1000 do
+               Printf.bprintf b "%Ld," (Rng.bits64 r)
+             done));
+      let r = Rng.create ~seed () in
+      check Alcotest.string
+        (Printf.sprintf "Rng.float seed %d" seed)
+        floats
+        (digest (fun b ->
+             for _ = 1 to 1000 do
+               Printf.bprintf b "%Ld," (Int64.bits_of_float (Rng.float r 1.0))
+             done)))
+    [
+      ( 1,
+        "8d9969148a42f30b22d3cc90af6c0970",
+        "fbff470b668802f4b06637a32ecadb32",
+        "ea81f8798aee46d0504bd6753b8b885d" );
+      ( 42,
+        "d9940f4c5edc783b3b7319d1817aa7c4",
+        "5ff6fe1895d57c76f11dafa5eb21e09b",
+        "2364c407ad6a8870f1fe5fa76acfaaf3" );
+      ( 20120716,
+        "fc314c1b924fe903ad3eaabbd3e80066",
+        "913f8bb142d5148fe1a10536adc4ae51",
+        "1c7990d36c81c6fb6cd0c879f676ab23" );
+    ]
+
+(* The save format is the four state words s0..s3, unchanged. *)
+let save_words_known () =
+  let r = Rng.restore [| 1L; 2L; 3L; 4L |] in
+  check (Alcotest.array Alcotest.int64) "restore/save" [| 1L; 2L; 3L; 4L |]
+    (Rng.save r);
+  (* xoshiro256++ from (1, 2, 3, 4): rotl(1 + 4, 23) + 1. *)
+  check Alcotest.int64 "first output" 41943041L (Rng.bits64 r);
+  check (Alcotest.array Alcotest.int64) "state after one step"
+    [| 7L; 0L; 262146L; 211106232532992L |]
+    (Rng.save r)
+
+(* Minor words allocated by [f ()].  Only meaningful in native code,
+   where [Gc.minor_words] itself does not allocate. *)
+let minor_words f =
+  let w0 = Gc.minor_words () in
+  f ();
+  Gc.minor_words () -. w0
+
+let int_allocates_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let r = Rng.create ~seed:9 () in
+    let sink = ref 0 in
+    let draws = 100_000 in
+    let words =
+      minor_words (fun () ->
+          for i = 1 to draws do
+            sink := !sink lxor Rng.int r pin_bounds.(i land 15)
+          done)
+    in
+    ignore (Sys.opaque_identity !sink);
+    Alcotest.(check bool)
+      (Printf.sprintf "%.0f minor words over %d draws" words draws)
+      true (words < 16.)
+  end
+
 let () =
   Alcotest.run "prng"
     [
@@ -360,6 +454,13 @@ let () =
             rng_sample_without_replacement;
           Alcotest.test_case "split independent" `Quick rng_split_independent;
           Alcotest.test_case "split reproducible" `Quick rng_split_reproducible;
+        ] );
+      ( "known answers",
+        [
+          Alcotest.test_case "draw digests" `Quick known_answers;
+          Alcotest.test_case "save words" `Quick save_words_known;
+          Alcotest.test_case "int allocates nothing" `Quick
+            int_allocates_nothing;
         ] );
       ( "properties",
         [ qcheck prop_int_in_bounds; qcheck prop_shuffle_multiset ] );
