@@ -441,7 +441,7 @@ let () =
           Alcotest.test_case "distribution smoke" `Quick
             steger_wormald_unbiased_smoke;
         ] );
-      ( "known answers",
+      ( "pins",
         [
           Alcotest.test_case "regular digests" `Quick regular_known_answers;
           Alcotest.test_case "dense digests" `Quick dense_known_answers;
