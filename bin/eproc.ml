@@ -20,7 +20,7 @@ module Expt = Ewalk_expt
 module Obs = Ewalk_obs
 module Observe = Ewalk.Observe
 module Kengine = Ewalk_kernel.Engine
-module Kobs = Ewalk_kernel.Kobs
+module Walk = Ewalk_resume.Walk
 
 let walkers_arg =
   let doc =
@@ -597,146 +597,48 @@ let process_arg =
   in
   Arg.(value & opt string "e-process" & info [ "process" ] ~docv:"P" ~doc)
 
-(* Each spec yields the generic process plus a native-hook attacher for the
-   processes that have one (E-process, SRW); others only get the generic
-   [Observe.instrument] wrapper.  [start] defaults to vertex 0; with
-   --reorder the caller passes the relabeled start [perm.(0)] (and [perm]
-   itself, so the rotor draws its offsets in original vertex order).
-   [approx] switches the e-process rules to Bloom visited tracking; the
-   created process rides back so the caller can report the distortion. *)
-let make_process ?(start = 0) ?perm ?approx spec g rng =
-  let approx_only_eprocess () =
-    match approx with
-    | None -> ()
-    | Some _ ->
-        Printf.eprintf
-          "eproc: --approx-visited applies to the e-process rules only \
-           (process %S)\n"
-          spec;
-        exit 2
-  in
-  let eprocess ?rule () =
-    let t = Ewalk.Eprocess.create ?rule ?approx g rng ~start in
-    ( Ewalk.Eprocess.process t,
-      (fun obs -> Observe.attach_eprocess obs t),
-      Some t )
-  in
-  let srw t =
-    approx_only_eprocess ();
-    (Ewalk.Srw.process t, (fun obs -> Observe.attach_srw obs t), None)
-  in
-  let rotor t =
-    approx_only_eprocess ();
-    (Ewalk.Rotor.process t, (fun obs -> Observe.attach_rotor obs t), None)
-  in
-  let plain p =
-    approx_only_eprocess ();
-    (p, (fun (_ : Observe.t) -> ()), None)
-  in
-  match String.split_on_char ':' spec with
-  | [ "e-process" ] -> eprocess ()
-  | [ "e-process"; "lowest" ] -> eprocess ~rule:Ewalk.Eprocess.Lowest_slot ()
-  | [ "e-process"; "highest" ] -> eprocess ~rule:Ewalk.Eprocess.Highest_slot ()
-  | [ "srw" ] -> srw (Ewalk.Srw.create g rng ~start)
-  | [ "lazy-srw" ] -> srw (Ewalk.Srw.create_lazy g rng ~start)
-  | [ "v-process" ] ->
-      plain (Ewalk.Vprocess.process (Ewalk.Vprocess.create g rng ~start))
-  | [ "rotor" ] ->
-      rotor (Ewalk.Rotor.create ~randomize_rotors:true ?perm g rng ~start)
-  | [ "rwc"; d ] ->
-      plain
-        (Ewalk.Rwc.process
-           (Ewalk.Rwc.create ~d:(int_of_string d) g rng ~start))
-  | [ "luf" ] ->
-      plain
-        (Ewalk.Fair.process
-           (Ewalk.Fair.create ~random_ties:true
-              ~strategy:Ewalk.Fair.Least_used_first g rng ~start))
-  | [ "oldest" ] ->
-      plain
-        (Ewalk.Fair.process
-           (Ewalk.Fair.create ~random_ties:true
-              ~strategy:Ewalk.Fair.Oldest_first g rng ~start))
-  | [ "metropolis" ] ->
-      plain
-        (Ewalk.Metropolis.process (Ewalk.Metropolis.create g rng ~start))
-  | _ -> invalid_arg (Printf.sprintf "unknown process %S" spec)
+(* What a --process spec builds: a snapshottable {!Walk.t} when the spec
+   names one (for this walker count and mode), otherwise a generic
+   process with no native observation hook.  [start] defaults to vertex
+   0; with --reorder the caller passes the relabeled start [perm.(0)] (and
+   [perm] itself, so rotor offsets and engine starts draw in original
+   vertex order). *)
+type made = Walk of Walk.t | Plain of Ewalk.Cover.process
 
-(* The specs ported to the multi-walker kernel engine: what --walkers > 1
-   can drive. *)
-let kernel_proc_of_spec spec =
-  match String.split_on_char ':' spec with
-  | [ "e-process" ] -> Some Kengine.E_uar
-  | [ "e-process"; "lowest" ] -> Some Kengine.E_lowest
-  | [ "e-process"; "highest" ] -> Some Kengine.E_highest
-  | [ "srw" ] -> Some Kengine.Srw
-  | [ "rotor" ] -> Some Kengine.Rotor
-  | _ -> None
+let no_engine_port ~cmd spec =
+  Printf.eprintf "eproc %s: process %S does not support --walkers\n" cmd spec;
+  exit 2
 
-let require_kernel_proc ~cmd spec =
-  match kernel_proc_of_spec spec with
-  | Some p -> p
+let make_process ?(walkers = 1) ?(mode = Kengine.Cooperating) ?(start = 0)
+    ?perm ~cmd spec g rng =
+  match Walk.of_spec ~walkers ~mode ~start ?perm spec g rng with
+  | Some w -> Walk w
+  | None when walkers > 1 || mode = Kengine.Competing ->
+      no_engine_port ~cmd spec
   | None ->
-      Printf.eprintf "eproc %s: process %S does not support --walkers\n" cmd
-        spec;
-      exit 2
+      Plain
+        (match String.split_on_char ':' spec with
+        | [ "v-process" ] ->
+            Ewalk.Vprocess.process (Ewalk.Vprocess.create g rng ~start)
+        | [ "rwc"; d ] ->
+            Ewalk.Rwc.process
+              (Ewalk.Rwc.create ~d:(int_of_string d) g rng ~start)
+        | [ "luf" ] ->
+            Ewalk.Fair.process
+              (Ewalk.Fair.create ~random_ties:true
+                 ~strategy:Ewalk.Fair.Least_used_first g rng ~start)
+        | [ "oldest" ] ->
+            Ewalk.Fair.process
+              (Ewalk.Fair.create ~random_ties:true
+                 ~strategy:Ewalk.Fair.Oldest_first g rng ~start)
+        | [ "metropolis" ] ->
+            Ewalk.Metropolis.process (Ewalk.Metropolis.create g rng ~start)
+        | _ -> invalid_arg (Printf.sprintf "unknown process %S" spec))
 
-(* [Kengine.create_spread] with the reorder permutation threaded through:
-   start vertices are drawn in original label space and mapped, and rotor
-   offsets draw in original vertex order, so the reordered engine is
-   isomorphic draw-for-draw to the unreordered one. *)
-let kengine_spread ?mode ?perm kp g rng ~walkers =
-  match perm with
-  | None -> Kengine.create_spread ?mode kp g rng ~walkers
-  | Some pm ->
-      let starts =
-        Array.init walkers (fun _ -> pm.(Rng.int rng (Graph.n g)))
-      in
-      Kengine.create ?mode ~perm:pm kp g rng ~starts
-
-(* The snapshottable subset of --process specs, as Snapshot.walk values:
-   what `trace --checkpoint` can write and `trace --resume-from` restores.
-   Specs outside it (adversarial rules, weighted walks, processes without
-   a checkpoint function) return None.  With [walkers > 1] the kernel-
-   ported specs build a cooperating lockstep engine instead. *)
-let make_snapshot_walk ?(walkers = 1) ?(start = 0) ?perm spec g rng =
-  let module S = Ewalk_resume.Snapshot in
-  if walkers > 1 then
-    Option.map
-      (fun p -> S.Kernel (kengine_spread ?perm p g rng ~walkers))
-      (kernel_proc_of_spec spec)
-  else
-    match String.split_on_char ':' spec with
-    | [ "e-process" ] ->
-        Some (S.Eprocess (Ewalk.Eprocess.create g rng ~start))
-    | [ "e-process"; "lowest" ] ->
-        Some
-          (S.Eprocess
-             (Ewalk.Eprocess.create ~rule:Ewalk.Eprocess.Lowest_slot g rng
-                ~start))
-    | [ "e-process"; "highest" ] ->
-        Some
-          (S.Eprocess
-             (Ewalk.Eprocess.create ~rule:Ewalk.Eprocess.Highest_slot g rng
-                ~start))
-    | [ "srw" ] -> Some (S.Srw (Ewalk.Srw.create g rng ~start))
-    | [ "lazy-srw" ] -> Some (S.Srw (Ewalk.Srw.create_lazy g rng ~start))
-    | [ "rotor" ] ->
-        Some
-          (S.Rotor
-             (Ewalk.Rotor.create ~randomize_rotors:true ?perm g rng ~start))
-    | _ -> None
-
-let process_of_walk (w : Ewalk_resume.Snapshot.walk) =
-  match w with
-  | Ewalk_resume.Snapshot.Eprocess t ->
-      (Ewalk.Eprocess.process t, fun obs -> Observe.attach_eprocess obs t)
-  | Ewalk_resume.Snapshot.Srw t ->
-      (Ewalk.Srw.process t, fun obs -> Observe.attach_srw obs t)
-  | Ewalk_resume.Snapshot.Rotor t ->
-      (Ewalk.Rotor.process t, fun obs -> Observe.attach_rotor obs t)
-  | Ewalk_resume.Snapshot.Kernel k ->
-      (Kengine.process k, fun obs -> Kobs.attach obs k)
+(* The generic process plus its native-hook attacher. *)
+let process_of = function
+  | Walk w -> (Walk.process w, fun obs -> Walk.attach obs w)
+  | Plain p -> (p, fun (_ : Observe.t) -> ())
 
 let cover_cmd =
   let edges_arg =
@@ -789,47 +691,34 @@ let cover_cmd =
              --jobs. *)
           let obs = Option.map (fun o -> Observe.for_trial o ~trial) obs in
           let cap = Ewalk.Cover.default_cap g in
+          let mode =
+            if compete then Kengine.Competing else Kengine.Cooperating
+          in
           let t =
-            if compete then begin
-              let kp = require_kernel_proc ~cmd:"cover" process in
-              let eng =
-                kengine_spread ~mode:Kengine.Competing ?perm kp g rng
-                  ~walkers
-              in
-              Option.iter (fun obs -> Kobs.attach obs eng) obs;
-              let r =
-                Option.map snd (Kengine.run_until_first_cover ~cap eng)
-              in
-              Option.iter Observe.flush obs;
-              r
-            end
-            else begin
-              let p, attach_native =
-                if walkers > 1 then begin
-                  let kp = require_kernel_proc ~cmd:"cover" process in
-                  let eng = kengine_spread ?perm kp g rng ~walkers in
-                  ( Kengine.process eng,
-                    fun obs -> Kobs.attach obs eng )
-                end
-                else begin
-                  let p, attach, _ = make_process ~start ?perm process g rng in
-                  (p, attach)
-                end
-              in
-              let p =
-                match obs with
-                | None -> p
-                | Some obs ->
-                    attach_native obs;
-                    Observe.instrument obs p
-              in
-              let t =
-                if edges then Ewalk.Cover.run_until_edge_cover ~cap p
-                else Ewalk.Cover.run_until_vertex_cover ~cap p
-              in
-              Option.iter (fun obs -> Observe.finish obs p) obs;
-              t
-            end
+            match
+              make_process ~cmd:"cover" ~walkers ~mode ~start ?perm process g
+                rng
+            with
+            | Walk w when compete ->
+                Option.iter (fun obs -> Walk.attach obs w) obs;
+                let r = Walk.run_to_cover ~cap w in
+                Option.iter Observe.flush obs;
+                r
+            | made ->
+                let p, attach_native = process_of made in
+                let p =
+                  match obs with
+                  | None -> p
+                  | Some obs ->
+                      attach_native obs;
+                      Observe.instrument obs p
+                in
+                let t =
+                  if edges then Ewalk.Cover.run_until_edge_cover ~cap p
+                  else Ewalk.Cover.run_until_vertex_cover ~cap p
+                in
+                Option.iter (fun obs -> Observe.finish obs p) obs;
+                t
           in
           (t, Graph.n g, Graph.m g))
         (Array.mapi (fun i rng -> (i, rng)) rngs)
@@ -1004,6 +893,35 @@ let trace_cmd =
               Printf.eprintf "wrote %s (OpenMetrics)\n" path
           | None -> ()
         in
+        let cap =
+          match max_steps with Some c -> c | None -> Ewalk.Cover.default_cap g
+        in
+        (* A resumed leg adopts the snapshot's run as its parent before
+           anything is emitted, so the prologue's run_info and any
+           checkpoint this leg writes carry the child id. *)
+        let resumed =
+          Option.map
+            (fun path ->
+              match Ewalk_resume.Snapshot.read_with_id g ~path with
+              | Error e ->
+                  Printf.eprintf "eproc trace: %s: %s\n" path
+                    (Ewalk_resume.Snapshot.error_to_string e);
+                  exit 2
+              | Ok (w, snap_run) ->
+                  adopt_parent_run snap_run.Obs.Runlog.run_id;
+                  w)
+            resume_from
+        in
+        let write_checkpoint counter path w step =
+          (match Ewalk_resume.Snapshot.write ~path w with
+          | Ok () -> ()
+          | Error e ->
+              Printf.eprintf "eproc trace: %s: %s\n" path
+                (Ewalk_resume.Snapshot.error_to_string e);
+              exit 2);
+          Obs.Trace.emit sink (Obs.Trace.Checkpoint { step });
+          Obs.Metrics.incr counter
+        in
         if compete then begin
           (* Competing kernel walkers have no shared coverage table, so the
              generic Cover loop does not apply: drive the engine directly,
@@ -1017,144 +935,85 @@ let trace_cmd =
                --edges is not supported\n";
             exit 2
           end;
-          let kp = require_kernel_proc ~cmd:"trace" process in
-          let eng, resumed_at =
-            match resume_from with
-            | Some path -> (
-                match Ewalk_resume.Snapshot.read_with_id g ~path with
-                | Error e ->
-                    Printf.eprintf "eproc trace: %s: %s\n" path
-                      (Ewalk_resume.Snapshot.error_to_string e);
-                    exit 2
-                | Ok (Ewalk_resume.Snapshot.Kernel k, snap_run)
-                  when Kengine.mode k = Kengine.Competing ->
-                    adopt_parent_run snap_run.Obs.Runlog.run_id;
-                    (k, Some (Kengine.steps k))
-                | Ok _ ->
-                    Printf.eprintf
-                      "eproc trace: %s is not a competing kernel snapshot\n"
-                      path;
-                    exit 2)
-            | None ->
-                ( kengine_spread ~mode:Kengine.Competing ?perm kp g rng
-                    ~walkers,
-                  None )
+          let w, resumed_at =
+            match (resumed, resume_from) with
+            | Some w, _ when Walk.mode w = Kengine.Competing ->
+                (w, Some (Walk.steps w))
+            | Some _, Some path ->
+                Printf.eprintf
+                  "eproc trace: %s is not a competing kernel snapshot\n" path;
+                exit 2
+            | _ -> (
+                match
+                  Walk.of_spec ~walkers ~mode:Kengine.Competing ?perm process
+                    g rng
+                with
+                | Some w -> (w, None)
+                | None -> no_engine_port ~cmd:"trace" process)
           in
-          let all_covered () =
-            let w = Kengine.walkers eng in
-            let rec go i =
-              i >= w
-              || (Kengine.walker_cover_step eng i <> None && go (i + 1))
-            in
-            go 0
-          in
-          Obs.Trace.emit sink
-            (Obs.Trace.Run_start
-               {
-                 name = Kengine.name eng;
-                 n = Graph.n g;
-                 m = Graph.m g;
-                 start = Kengine.position eng;
-               });
-          (match Obs.Runlog.current () with
-          | Some r ->
-              Obs.Trace.emit sink
-                (Obs.Trace.Run_info
-                   {
-                     run_id = r.Obs.Runlog.run_id;
-                     parent_run_id = r.Obs.Runlog.parent_run_id;
-                   })
-          | None -> ());
-          Option.iter
-            (fun step -> Obs.Trace.emit sink (Obs.Trace.Resume { step }))
-            resumed_at;
-          Kengine.set_observer eng
-            (Some (fun ~walker:_ ev -> Obs.Trace.emit sink ev));
+          Obs.Trace.prologue ?resumed_at ~name:(Walk.name w) ~n:(Graph.n g)
+            ~m:(Graph.m g) ~start:(Walk.position w) (Obs.Trace.emit sink);
+          Walk.set_observer w (Some (Obs.Trace.emit sink));
           (match checkpoint with
           | Some path -> Obs.Runlog.note_artifact ~key:"checkpoint" ~path
           | None -> ());
           let checkpoints_c = Obs.Metrics.counter registry "checkpoints" in
-          let cap =
-            match max_steps with
-            | Some c -> c
-            | None -> Ewalk.Cover.default_cap g
-          in
-          while Kengine.steps eng < cap && not (all_covered ()) do
-            Kengine.step eng;
-            let step = Kengine.steps eng in
+          while Walk.steps w < cap && not (Walk.covered w) do
+            Walk.step w;
+            let step = Walk.steps w in
             match checkpoint with
             | Some path when step mod checkpoint_every = 0 ->
-                (match
-                   Ewalk_resume.Snapshot.write ~path
-                     (Ewalk_resume.Snapshot.Kernel eng)
-                 with
-                | Ok () -> ()
-                | Error e ->
-                    Printf.eprintf "eproc trace: %s: %s\n" path
-                      (Ewalk_resume.Snapshot.error_to_string e);
-                    exit 2);
-                Obs.Trace.emit sink (Obs.Trace.Checkpoint { step });
-                Obs.Metrics.incr checkpoints_c
+                write_checkpoint checkpoints_c path w step
             | _ -> ()
           done;
-          let covered = all_covered () in
+          let covered = Walk.covered w in
           Obs.Trace.emit sink
-            (Obs.Trace.Run_end { steps = Kengine.steps eng; covered });
+            (Obs.Trace.Run_end { steps = Walk.steps w; covered });
           Obs.Trace.close sink;
           if covered then
             Printf.eprintf
               "%s: every walker covered its own vertices of %s (n=%d, \
                m=%d) by total step %d\n"
-              (Kengine.name eng) family (Graph.n g) (Graph.m g)
-              (Kengine.steps eng)
+              (Walk.name w) family (Graph.n g) (Graph.m g) (Walk.steps w)
           else
             Printf.eprintf "%s hit the %d-step cap before all walkers \
                             covered\n"
-              (Kengine.name eng) cap;
+              (Walk.name w) cap;
           write_metrics_files ()
         end
         else begin
           let walk_opt, (p, attach_native), approx_t, resumed_at =
-            match resume_from with
-            | Some path -> (
-                match Ewalk_resume.Snapshot.read_with_id g ~path with
-                | Error e ->
-                    Printf.eprintf "eproc trace: %s: %s\n" path
-                      (Ewalk_resume.Snapshot.error_to_string e);
-                    exit 2
-                | Ok (w, snap_run) ->
-                    (* Adopt before instrumentation so the trace prologue's
-                       run_info and any checkpoint written by this leg carry
-                       the child id. *)
-                    adopt_parent_run snap_run.Obs.Runlog.run_id;
-                    ( Some w,
-                      process_of_walk w,
-                      None,
-                      Some (Ewalk_resume.Snapshot.walk_steps w) ))
+            match resumed with
+            | Some w -> (Some w, process_of (Walk w), None, Some (Walk.steps w))
             | None when approx <> None ->
-                let p, attach, t =
-                  make_process ~start ?perm ?approx process g rng
-                in
-                (None, (p, attach), t, None)
-            | None -> (
-                match make_snapshot_walk ~walkers ~start ?perm process g rng with
-                | Some w -> (Some w, process_of_walk w, None, None)
-                | None ->
-                    if walkers > 1 then begin
+                (* Bloom visited tracking: the e-process rules only. *)
+                let rule =
+                  match process with
+                  | "e-process" -> Ewalk.Eprocess.Uar
+                  | "e-process:lowest" -> Ewalk.Eprocess.Lowest_slot
+                  | "e-process:highest" -> Ewalk.Eprocess.Highest_slot
+                  | _ ->
                       Printf.eprintf
-                        "eproc trace: process %S does not support --walkers\n"
+                        "eproc: --approx-visited applies to the e-process \
+                         rules only (process %S)\n"
                         process;
                       exit 2
-                    end;
-                    let p, attach, t =
-                      make_process ~start ?perm process g rng
-                    in
-                    (None, (p, attach), t, None))
+                in
+                let t = Ewalk.Eprocess.create ~rule ?approx g rng ~start in
+                ( None,
+                  ( Ewalk.Eprocess.process t,
+                    fun obs -> Observe.attach_eprocess obs t ),
+                  Some t,
+                  None )
+            | None ->
+                let made =
+                  make_process ~cmd:"trace" ~walkers ~start ?perm process g rng
+                in
+                let walk = match made with Walk w -> Some w | Plain _ -> None in
+                (walk, process_of made, None, None)
           in
           let pname =
-            match (resume_from, walk_opt) with
-            | Some _, Some w -> Ewalk_resume.Snapshot.kind_name w
-            | _ -> process
+            match resumed with Some w -> Walk.name w | None -> process
           in
           attach_native obs;
           let p = Observe.instrument ?resumed_at obs p in
@@ -1175,21 +1034,8 @@ let trace_cmd =
                 let checkpoints_c = Obs.Metrics.counter registry "checkpoints" in
                 Ewalk.Cover.with_step_hook p ~hook:(fun p ->
                     let step = p.Ewalk.Cover.steps_done () in
-                    if step mod checkpoint_every = 0 then begin
-                      (match Ewalk_resume.Snapshot.write ~path w with
-                      | Ok () -> ()
-                      | Error e ->
-                          Printf.eprintf "eproc trace: %s: %s\n" path
-                            (Ewalk_resume.Snapshot.error_to_string e);
-                          exit 2);
-                      Obs.Trace.emit sink (Obs.Trace.Checkpoint { step });
-                      Obs.Metrics.incr checkpoints_c
-                    end)
-          in
-          let cap =
-            match max_steps with
-            | Some c -> c
-            | None -> Ewalk.Cover.default_cap g
+                    if step mod checkpoint_every = 0 then
+                      write_checkpoint checkpoints_c path w step)
           in
           let result =
             if edges then Ewalk.Cover.run_until_edge_cover ~cap p

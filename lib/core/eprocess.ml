@@ -415,7 +415,7 @@ let of_checkpoint g ck =
     phase_observer = None;
   }
 
-let process t =
+let name t =
   let base =
     match t.rule with
     | Uar -> "e-process(uar)"
@@ -423,9 +423,11 @@ let process t =
     | Highest_slot -> "e-process(highest-slot)"
     | Adversarial _ -> "e-process(adversarial)"
   in
+  match t.marks with Exact _ -> base | Approx _ -> base ^ "[bloom]"
+
+let process t =
   {
-    Cover.name =
-      (match t.marks with Exact _ -> base | Approx _ -> base ^ "[bloom]");
+    Cover.name = name t;
     graph = t.g;
     position = (fun () -> t.pos);
     step = (fun () -> step t);

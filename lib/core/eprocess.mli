@@ -137,6 +137,10 @@ val phase_log : t -> phase list
 (** Completed phases in chronological order ([] unless [record_phases]).
     The phase currently in progress is not included. *)
 
+val name : t -> string
+(** The run name, e.g. ["e-process(uar)"]; a [[bloom]] suffix marks
+    approximate visited tracking. *)
+
 val process : t -> Cover.process
 (** Adapter for the generic runners in {!Cover}. *)
 

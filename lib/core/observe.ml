@@ -135,22 +135,9 @@ let instrument ?resumed_at t (p : Cover.process) =
     let cov = p.coverage in
     let fast = is_fast t in
     let n = Coverage.total_vertices cov and m = Coverage.total_edges cov in
-    if not fast then begin
-      Trace.emit t.sh.sink_
-        (Trace.Run_start { name = p.name; n; m; start = p.position () });
-      (match Ewalk_obs.Runlog.current () with
-      | Some r ->
-          Trace.emit t.sh.sink_
-            (Trace.Run_info
-               {
-                 run_id = r.Ewalk_obs.Runlog.run_id;
-                 parent_run_id = r.Ewalk_obs.Runlog.parent_run_id;
-               })
-      | None -> ());
-      match resumed_at with
-      | Some step -> Trace.emit t.sh.sink_ (Trace.Resume { step })
-      | None -> ()
-    end;
+    if not fast then
+      Trace.prologue ?resumed_at ~name:p.name ~n ~m ~start:(p.position ())
+        (Trace.emit t.sh.sink_);
     (match t.sh.metrics_ with
     | None -> ()
     | Some reg ->

@@ -101,9 +101,11 @@ let of_checkpoint g ck =
     observer = None;
   }
 
+let name (_ : t) = "rotor-router"
+
 let process t =
   {
-    Cover.name = "rotor-router";
+    Cover.name = name t;
     graph = t.g;
     position = (fun () -> t.pos);
     step = (fun () -> step t);

@@ -40,6 +40,9 @@ val set_observer : t -> (Ewalk_obs.Trace.event -> unit) option -> unit
     [blue = false] — the rotor walk has no unvisited-edge preference).
     Use {!Observe.attach_rotor} rather than calling this directly. *)
 
+val name : t -> string
+(** ["rotor-router"]. *)
+
 val process : t -> Cover.process
 
 (** {2 Checkpointing} *)

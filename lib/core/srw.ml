@@ -113,6 +113,8 @@ let run_to_vertex_cover ?cap t =
   done;
   Coverage.vertex_cover_step t.coverage
 
+let name t = t.name
+
 let process t =
   {
     Cover.name = t.name;

@@ -48,6 +48,9 @@ val set_observer : t -> (Ewalk_obs.Trace.event -> unit) option -> unit
     {!Ewalk_obs.Trace.Step} event ([blue] always false; [edge = -1] for a
     lazy stay).  Prefer {!Observe.attach_srw}. *)
 
+val name : t -> string
+(** ["srw"], ["lazy-srw"] or ["weighted-rw"]. *)
+
 val process : t -> Cover.process
 
 (** {2 Checkpointing} *)

@@ -47,7 +47,11 @@ type t = {
   wsteps : int array;
   wblue : int array;
   wred : int array;
-  phase : (phase_kind * int * Graph.vertex) option array;
+  (* Each walker's phase in progress, unboxed so a transition allocates
+     nothing; [ph_step] is -1 before the walker's first step. *)
+  ph_kind : phase_kind array;
+  ph_step : int array;
+  ph_vertex : int array;
   mutable observer : (walker:int -> Trace.event -> unit) option;
   mutable phase_observer : (walker:int -> Trace.event -> unit) option;
   mutable fault : fault option;
@@ -150,7 +154,9 @@ let create ?(mode = Cooperating) ?(randomize_rotors = true) ?perm proc g rng
     wsteps = Array.make walkers 0;
     wblue = Array.make walkers 0;
     wred = Array.make walkers 0;
-    phase = Array.make walkers None;
+    ph_kind = Array.make walkers Blue;
+    ph_step = Array.make walkers (-1);
+    ph_vertex = Array.make walkers 0;
     observer = None;
     phase_observer = None;
     fault = None;
@@ -237,9 +243,6 @@ let set_fault t f = t.fault <- f
 
 (* --- stepping -------------------------------------------------------- *)
 
-let emit_step_ev t w ev =
-  match t.observer with Some f -> f ~walker:w ev | None -> ()
-
 let has_phase_listener t =
   (match t.observer with Some _ -> true | None -> false)
   || match t.phase_observer with Some _ -> true | None -> false
@@ -254,11 +257,10 @@ let emit_phase_ev t w ev =
    vertex. *)
 let record_phase_transition t w ~stamp ~vertex next_is_blue =
   let now_kind = if next_is_blue then Blue else Red in
-  let changed =
-    match t.phase.(w) with None -> true | Some (k, _, _) -> k <> now_kind
-  in
-  if changed then begin
-    t.phase.(w) <- Some (now_kind, stamp, vertex);
+  if t.ph_step.(w) < 0 || t.ph_kind.(w) <> now_kind then begin
+    t.ph_kind.(w) <- now_kind;
+    t.ph_step.(w) <- stamp;
+    t.ph_vertex.(w) <- vertex;
     if has_phase_listener t then
       emit_phase_ev t w
         (Trace.Phase
@@ -329,7 +331,11 @@ let step_shared t sh w =
   in
   t.pos.(dest) <- target;
   Coverage.record_move sh.sh_coverage ~step:t.gsteps target;
-  emit_step_ev t w (Trace.Step { step = t.gsteps; vertex = target; edge = e; blue })
+  match t.observer with
+  | Some f ->
+      f ~walker:w
+        (Trace.Step { step = t.gsteps; vertex = target; edge = e; blue })
+  | None -> ()
 
 (* Competing mode scans the adjacency slots of [v] against the walker's
    private edge bitset — the same order the naive oracle uses, so a
@@ -424,7 +430,10 @@ let step_private t pv w =
     if pv.pv_vcount.(w) = Graph.n t.g && pv.pv_cover_at.(w) < 0 then
       pv.pv_cover_at.(w) <- stamp'
   end;
-  emit_step_ev t w (Trace.Step { step = stamp'; vertex = target; edge = e; blue })
+  match t.observer with
+  | Some f ->
+      f ~walker:w (Trace.Step { step = stamp'; vertex = target; edge = e; blue })
+  | None -> ()
 
 let step_walker t w =
   match t.marks with
@@ -531,6 +540,24 @@ let process t =
 
 (* --- checkpointing (cooperating mode) -------------------------------- *)
 
+(* Checkpoints carry each walker's phase in progress as a cell
+   [(kind, start step, start vertex)], [None] before its first step. *)
+let phase_cells t =
+  Array.init (Array.length t.pos) (fun w ->
+      if t.ph_step.(w) < 0 then None
+      else Some (t.ph_kind.(w), t.ph_step.(w), t.ph_vertex.(w)))
+
+let unpack_phase_cells ~fn cells =
+  Array.iter
+    (function
+      | Some (_, s, _) when s < 0 ->
+          invalid_arg (fn ^ ": phase starts before step 0")
+      | _ -> ())
+    cells;
+  ( Array.map (function Some (k, _, _) -> k | None -> Blue) cells,
+    Array.map (function Some (_, s, _) -> s | None -> -1) cells,
+    Array.map (function Some (_, _, v) -> v | None -> 0) cells )
+
 type checkpoint = {
   ck_proc : proc;
   ck_pos : int array;
@@ -565,7 +592,7 @@ let checkpoint t =
         ck_coverage = Coverage.save sh.sh_coverage;
         ck_unvisited = Option.map Compact.save sh.sh_unvisited;
         ck_rotor = Option.map Array.copy sh.sh_rotor;
-        ck_phase = Array.copy t.phase;
+        ck_phase = phase_cells t;
       }
 
 let of_checkpoint g ck =
@@ -618,6 +645,9 @@ let of_checkpoint g ck =
   | None ->
       if ck.ck_proc = Rotor then
         invalid_arg "Engine.of_checkpoint: missing rotor state");
+  let ph_kind, ph_step, ph_vertex =
+    unpack_phase_cells ~fn:"Engine.of_checkpoint" ck.ck_phase
+  in
   {
     g;
     proc = ck.ck_proc;
@@ -635,7 +665,9 @@ let of_checkpoint g ck =
     wsteps = Array.copy ck.ck_wsteps;
     wblue = Array.copy ck.ck_wblue;
     wred = Array.copy ck.ck_wred;
-    phase = Array.copy ck.ck_phase;
+    ph_kind;
+    ph_step;
+    ph_vertex;
     observer = None;
     phase_observer = None;
     fault = None;
@@ -680,7 +712,7 @@ let checkpoint_competing t =
         cc_ecount = Array.copy pv.pv_ecount;
         cc_cover_at = Array.copy pv.pv_cover_at;
         cc_rotor = Option.map Array.copy pv.pv_rotor;
-        cc_phase = Array.copy t.phase;
+        cc_phase = phase_cells t;
       }
 
 (* Restore never trusts the serialized visit counters: each walker's
@@ -763,6 +795,9 @@ let of_checkpoint_competing g ck =
   | None ->
       if ck.cc_proc = Rotor then
         invalid_arg "Engine.of_checkpoint_competing: missing rotor state");
+  let ph_kind, ph_step, ph_vertex =
+    unpack_phase_cells ~fn:"Engine.of_checkpoint_competing" ck.cc_phase
+  in
   {
     g;
     proc = ck.cc_proc;
@@ -783,7 +818,9 @@ let of_checkpoint_competing g ck =
     wsteps = Array.copy ck.cc_wsteps;
     wblue = Array.copy ck.cc_wblue;
     wred = Array.copy ck.cc_wred;
-    phase = Array.copy ck.cc_phase;
+    ph_kind;
+    ph_step;
+    ph_vertex;
     observer = None;
     phase_observer = None;
     fault = None;

@@ -171,6 +171,16 @@ let event_of_line ~line s =
     (fun e -> Printf.sprintf "line %d: %s" line e)
     (event_of_string s)
 
+let prologue ?resumed_at ~name ~n ~m ~start emit =
+  emit (Run_start { name; n; m; start });
+  (match Runlog.current () with
+  | Some r ->
+      emit
+        (Run_info
+           { run_id = r.Runlog.run_id; parent_run_id = r.Runlog.parent_run_id })
+  | None -> ());
+  match resumed_at with Some step -> emit (Resume { step }) | None -> ()
+
 type sink = { kind : sink_kind; emit : event -> unit; close_fn : unit -> unit }
 and sink_kind = Null | Live
 

@@ -69,6 +69,18 @@ val event_of_line : line:int -> string -> (event, string) result
     reading a file or stdin name the offending line (the JSON layer's
     character offset within the line is preserved). *)
 
+val prologue :
+  ?resumed_at:int ->
+  name:string ->
+  n:int ->
+  m:int ->
+  start:int ->
+  (event -> unit) ->
+  unit
+(** Emit a run's prologue in the order the replay verifier accepts:
+    [Run_start], then [Run_info] for the ambient {!Runlog} run (if
+    any), then [Resume] when [resumed_at] is given. *)
+
 type sink
 (** Where events go.  Sinks are synchronous and not thread-safe. *)
 

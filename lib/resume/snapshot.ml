@@ -5,29 +5,15 @@ module Kengine = Ewalk_kernel.Engine
 let schema = "ewalk-snapshot/2"
 let schema_v1 = "ewalk-snapshot/1"
 
-type walk =
+type walk = Walk.t =
   | Eprocess of Ewalk.Eprocess.t
   | Srw of Ewalk.Srw.t
   | Rotor of Ewalk.Rotor.t
   | Kernel of Kengine.t
 
-let kind_name = function
-  | Eprocess p -> (Ewalk.Eprocess.process p).Ewalk.Cover.name
-  | Srw w -> (Ewalk.Srw.process w).Ewalk.Cover.name
-  | Rotor r -> (Ewalk.Rotor.process r).Ewalk.Cover.name
-  | Kernel k -> Kengine.name k
-
-let walk_steps = function
-  | Eprocess p -> Ewalk.Eprocess.steps p
-  | Srw w -> Ewalk.Srw.steps w
-  | Rotor r -> Ewalk.Rotor.steps r
-  | Kernel k -> Kengine.steps k
-
-let walk_position = function
-  | Eprocess p -> Ewalk.Eprocess.position p
-  | Srw w -> Ewalk.Srw.position w
-  | Rotor r -> Ewalk.Rotor.position r
-  | Kernel k -> Kengine.position k
+let kind_name = Walk.name
+let walk_steps = Walk.steps
+let walk_position = Walk.position
 
 type error = Io of string | Corrupt of string | Mismatch of string
 
@@ -69,19 +55,72 @@ let unvisited_json (s : Ewalk.Unvisited.state) =
       ("counts", int_array s.s_counts);
     ]
 
-let phase_kind_name = function
-  | Ewalk.Eprocess.Blue -> "blue"
-  | Ewalk.Eprocess.Red -> "red"
+(* -- field codecs: each enumerated wire value is spelled once ------------- *)
+
+exception Bad of string
+
+let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
+
+(* A wire code table pairs each value with its code: [encode] maps a value
+   to its code, [decode] a code back, applying [unknown] to a code not in
+   the table. *)
+let encode table v = List.assq v table
+
+let decode table ~unknown code =
+  match List.find_opt (fun (_, c) -> c = code) table with
+  | Some (v, _) -> v
+  | None -> unknown code
+
+let eprocess_rules =
+  [
+    (`Uar, "uar"); (`Lowest_slot, "lowest-slot"); (`Highest_slot, "highest-slot");
+  ]
+
+let srw_kinds = [ (`Simple, "srw"); (`Lazy, "lazy-srw") ]
+
+let kernel_procs =
+  [
+    (Kengine.E_uar, "e-uar");
+    (Kengine.E_lowest, "e-lowest");
+    (Kengine.E_highest, "e-highest");
+    (Kengine.Srw, "srw");
+    (Kengine.Rotor, "rotor");
+  ]
+
+let eprocess_phase_kinds =
+  [ (Ewalk.Eprocess.Blue, "blue"); (Ewalk.Eprocess.Red, "red") ]
+
+let kernel_phase_kinds = [ (Kengine.Blue, "blue"); (Kengine.Red, "red") ]
+
+let phase_kind_of kinds name =
+  decode kinds ~unknown:(fail "field %S has unknown phase kind %S" name)
+
+let nullable_json f = function None -> Json.Null | Some v -> f v
+
+(* The phase in progress: [{"kind","start_step","start_vertex"}], or null
+   before the first step.  E-process and kernel payloads share the shape. *)
+let open_phase_json kinds =
+  nullable_json (fun (kind, start_step, start_vertex) ->
+      Json.Obj
+        [
+          ("kind", Json.String (encode kinds kind));
+          ("start_step", Json.Int start_step);
+          ("start_vertex", Json.Int start_vertex);
+        ])
 
 let phase_json (p : Ewalk.Eprocess.phase) =
   Json.Obj
     [
-      ("kind", Json.String (phase_kind_name p.kind));
+      ("kind", Json.String (encode eprocess_phase_kinds p.kind));
       ("start_step", Json.Int p.start_step);
       ("start_vertex", Json.Int p.start_vertex);
       ("end_step", Json.Int p.end_step);
       ("end_vertex", Json.Int p.end_vertex);
     ]
+
+let kernel_phases_json phases =
+  Json.List
+    (Array.to_list (Array.map (open_phase_json kernel_phase_kinds) phases))
 
 let graph_fields g =
   [ ("n", Json.Int (Graph.n g)); ("m", Json.Int (Graph.m g)) ]
@@ -94,12 +133,7 @@ let payload_of_walk walk =
         ([ ("kind", Json.String "eprocess") ]
         @ graph_fields (Ewalk.Eprocess.graph p)
         @ [
-            ( "rule",
-              Json.String
-                (match ck.ck_rule with
-                | `Uar -> "uar"
-                | `Lowest_slot -> "lowest-slot"
-                | `Highest_slot -> "highest-slot") );
+            ("rule", Json.String (encode eprocess_rules ck.ck_rule));
             ("pos", Json.Int ck.ck_pos);
             ("steps", Json.Int ck.ck_steps);
             ("blue_steps", Json.Int ck.ck_blue_steps);
@@ -109,26 +143,13 @@ let payload_of_walk walk =
             ("unvisited", unvisited_json ck.ck_unvisited);
             ("record_phases", Json.Bool ck.ck_record_phases);
             ( "current_phase",
-              match ck.ck_current_phase with
-              | None -> Json.Null
-              | Some (kind, start_step, start_vertex) ->
-                  Json.Obj
-                    [
-                      ("kind", Json.String (phase_kind_name kind));
-                      ("start_step", Json.Int start_step);
-                      ("start_vertex", Json.Int start_vertex);
-                    ] );
+              open_phase_json eprocess_phase_kinds ck.ck_current_phase );
             ("phases", Json.List (List.map phase_json ck.ck_phases));
           ])
   | Srw w ->
       let ck = Ewalk.Srw.checkpoint w in
       Json.Obj
-        ([
-           ( "kind",
-             Json.String
-               (match ck.ck_kind with `Simple -> "srw" | `Lazy -> "lazy-srw")
-           );
-         ]
+        ([ ("kind", Json.String (encode srw_kinds ck.ck_kind)) ]
         @ graph_fields (Ewalk.Srw.graph w)
         @ [
             ("pos", Json.Int ck.ck_pos);
@@ -152,20 +173,6 @@ let payload_of_walk walk =
          bitsets travel as hex strings and the derived visit counters ride
          along for inspectability ([describe] cross-checks them). *)
       let ck = Kengine.checkpoint_competing k in
-      let kernel_phase_kind = function
-        | Kengine.Blue -> "blue"
-        | Kengine.Red -> "red"
-      in
-      let phase_cell = function
-        | None -> Json.Null
-        | Some (kind, start_step, start_vertex) ->
-            Json.Obj
-              [
-                ("kind", Json.String (kernel_phase_kind kind));
-                ("start_step", Json.Int start_step);
-                ("start_vertex", Json.Int start_vertex);
-              ]
-      in
       let bitsets a =
         Json.List
           (Array.to_list
@@ -175,14 +182,7 @@ let payload_of_walk walk =
         ([ ("kind", Json.String "kernel-competing") ]
         @ graph_fields (Kengine.graph k)
         @ [
-            ( "proc",
-              Json.String
-                (match ck.Kengine.cc_proc with
-                | Kengine.E_uar -> "e-uar"
-                | Kengine.E_lowest -> "e-lowest"
-                | Kengine.E_highest -> "e-highest"
-                | Kengine.Srw -> "srw"
-                | Kengine.Rotor -> "rotor") );
+            ("proc", Json.String (encode kernel_procs ck.Kengine.cc_proc));
             ("walkers", Json.Int (Array.length ck.Kengine.cc_pos));
             ("pos", int_array ck.Kengine.cc_pos);
             ("cursor", Json.Int ck.Kengine.cc_cursor);
@@ -197,42 +197,16 @@ let payload_of_walk walk =
             ("vcount", int_array ck.Kengine.cc_vcount);
             ("ecount", int_array ck.Kengine.cc_ecount);
             ("cover_at", int_array ck.Kengine.cc_cover_at);
-            ( "rotor",
-              match ck.Kengine.cc_rotor with
-              | None -> Json.Null
-              | Some r -> int_array r );
-            ( "phase",
-              Json.List
-                (Array.to_list (Array.map phase_cell ck.Kengine.cc_phase)) );
+            ("rotor", nullable_json int_array ck.Kengine.cc_rotor);
+            ("phase", kernel_phases_json ck.Kengine.cc_phase);
           ])
   | Kernel k ->
       let ck = Kengine.checkpoint k in
-      let kernel_phase_kind = function
-        | Kengine.Blue -> "blue"
-        | Kengine.Red -> "red"
-      in
-      let phase_cell = function
-        | None -> Json.Null
-        | Some (kind, start_step, start_vertex) ->
-            Json.Obj
-              [
-                ("kind", Json.String (kernel_phase_kind kind));
-                ("start_step", Json.Int start_step);
-                ("start_vertex", Json.Int start_vertex);
-              ]
-      in
       Json.Obj
         ([ ("kind", Json.String "kernel") ]
         @ graph_fields (Kengine.graph k)
         @ [
-            ( "proc",
-              Json.String
-                (match ck.Kengine.ck_proc with
-                | Kengine.E_uar -> "e-uar"
-                | Kengine.E_lowest -> "e-lowest"
-                | Kengine.E_highest -> "e-highest"
-                | Kengine.Srw -> "srw"
-                | Kengine.Rotor -> "rotor") );
+            ("proc", Json.String (encode kernel_procs ck.Kengine.ck_proc));
             ("walkers", Json.Int (Array.length ck.Kengine.ck_pos));
             ("pos", int_array ck.Kengine.ck_pos);
             ("cursor", Json.Int ck.Kengine.ck_cursor);
@@ -242,25 +216,13 @@ let payload_of_walk walk =
             ("wred", int_array ck.Kengine.ck_wred);
             ("prng", rng_words ck.Kengine.ck_prng);
             ("coverage", coverage_json ck.Kengine.ck_coverage);
-            ( "unvisited",
-              match ck.Kengine.ck_unvisited with
-              | None -> Json.Null
-              | Some u -> unvisited_json u );
-            ( "rotor",
-              match ck.Kengine.ck_rotor with
-              | None -> Json.Null
-              | Some r -> int_array r );
-            ( "phase",
-              Json.List
-                (Array.to_list (Array.map phase_cell ck.Kengine.ck_phase)) );
+            ("unvisited", nullable_json unvisited_json ck.Kengine.ck_unvisited);
+            ("rotor", nullable_json int_array ck.Kengine.ck_rotor);
+            ("phase", kernel_phases_json ck.Kengine.ck_phase);
           ])
 
 (* ------------------------------------------------------------------ *)
 (* Decoding *)
-
-exception Bad of string
-
-let fail fmt = Printf.ksprintf (fun m -> raise (Bad m)) fmt
 
 let field name j =
   match Json.member name j with
@@ -282,8 +244,7 @@ let get_bool name j =
   | Json.Bool b -> b
   | _ -> fail "field %S is not a boolean" name
 
-let get_int_array name j =
-  match field name j with
+let int_array_of_json name = function
   | Json.List l ->
       Array.of_list
         (List.map
@@ -293,6 +254,12 @@ let get_int_array name j =
              | None -> fail "field %S has a non-integer entry" name)
            l)
   | _ -> fail "field %S is not an array" name
+
+let get_int_array name j = int_array_of_json name (field name j)
+
+(* A field that is null or decodes with [f]. *)
+let get_nullable name f j =
+  match field name j with Json.Null -> None | v -> Some (f v)
 
 let get_rng_words name j =
   match field name j with
@@ -328,19 +295,33 @@ let unvisited_of_json j : Ewalk.Unvisited.state =
     s_counts = get_int_array "counts" j;
   }
 
-let phase_kind_of_string name = function
-  | "blue" -> Ewalk.Eprocess.Blue
-  | "red" -> Ewalk.Eprocess.Red
-  | other -> fail "field %S has unknown phase kind %S" name other
+let open_phase_of_json kinds name = function
+  | Json.Null -> None
+  | p ->
+      Some
+        ( phase_kind_of kinds name (get_string "kind" p),
+          get_int "start_step" p,
+          get_int "start_vertex" p )
 
 let phase_of_json j : Ewalk.Eprocess.phase =
   {
-    kind = phase_kind_of_string "phases" (get_string "kind" j);
+    kind = phase_kind_of eprocess_phase_kinds "phases" (get_string "kind" j);
     start_step = get_int "start_step" j;
     start_vertex = get_int "start_vertex" j;
     end_step = get_int "end_step" j;
     end_vertex = get_int "end_vertex" j;
   }
+
+let kernel_proc_of_json j =
+  decode kernel_procs
+    ~unknown:(fail "unknown kernel proc %S")
+    (get_string "proc" j)
+
+let kernel_phases_of_json j =
+  match field "phase" j with
+  | Json.List l ->
+      Array.of_list (List.map (open_phase_of_json kernel_phase_kinds "phase") l)
+  | _ -> fail "field \"phase\" is not an array"
 
 let walk_of_payload g j =
   let n = get_int "n" j and m = get_int "m" j in
@@ -356,11 +337,9 @@ let walk_of_payload g j =
       let ck : Ewalk.Eprocess.checkpoint =
         {
           ck_rule =
-            (match get_string "rule" j with
-            | "uar" -> `Uar
-            | "lowest-slot" -> `Lowest_slot
-            | "highest-slot" -> `Highest_slot
-            | other -> fail "unknown e-process rule %S" other);
+            decode eprocess_rules
+              ~unknown:(fail "unknown e-process rule %S")
+              (get_string "rule" j);
           ck_pos = get_int "pos" j;
           ck_steps = get_int "steps" j;
           ck_blue_steps = get_int "blue_steps" j;
@@ -370,13 +349,8 @@ let walk_of_payload g j =
           ck_unvisited = unvisited_of_json (field "unvisited" j);
           ck_record_phases = get_bool "record_phases" j;
           ck_current_phase =
-            (match field "current_phase" j with
-            | Json.Null -> None
-            | p ->
-                Some
-                  ( phase_kind_of_string "current_phase" (get_string "kind" p),
-                    get_int "start_step" p,
-                    get_int "start_vertex" p ));
+            open_phase_of_json eprocess_phase_kinds "current_phase"
+              (field "current_phase" j);
           ck_phases =
             (match field "phases" j with
             | Json.List l -> List.map phase_of_json l
@@ -387,7 +361,8 @@ let walk_of_payload g j =
   | ("srw" | "lazy-srw") as kind ->
       let ck : Ewalk.Srw.checkpoint =
         {
-          ck_kind = (if kind = "srw" then `Simple else `Lazy);
+          ck_kind =
+            decode srw_kinds ~unknown:(fail "unknown walk kind %S") kind;
           ck_pos = get_int "pos" j;
           ck_steps = get_int "steps" j;
           ck_rng = get_rng_words "rng" j;
@@ -406,36 +381,8 @@ let walk_of_payload g j =
       in
       Rotor (Ewalk.Rotor.of_checkpoint g ck)
   | "kernel" ->
-      let proc =
-        match get_string "proc" j with
-        | "e-uar" -> Kengine.E_uar
-        | "e-lowest" -> Kengine.E_lowest
-        | "e-highest" -> Kengine.E_highest
-        | "srw" -> Kengine.Srw
-        | "rotor" -> Kengine.Rotor
-        | other -> fail "unknown kernel proc %S" other
-      in
-      let kernel_phase_kind name = function
-        | "blue" -> Kengine.Blue
-        | "red" -> Kengine.Red
-        | other -> fail "field %S has unknown phase kind %S" name other
-      in
-      let phase =
-        match field "phase" j with
-        | Json.List l ->
-            Array.of_list
-              (List.map
-                 (fun p ->
-                   match p with
-                   | Json.Null -> None
-                   | p ->
-                       Some
-                         ( kernel_phase_kind "phase" (get_string "kind" p),
-                           get_int "start_step" p,
-                           get_int "start_vertex" p ))
-                 l)
-        | _ -> fail "field \"phase\" is not an array"
-      in
+      let proc = kernel_proc_of_json j in
+      let phase = kernel_phases_of_json j in
       let ck : Kengine.checkpoint =
         {
           ck_proc = proc;
@@ -447,14 +394,8 @@ let walk_of_payload g j =
           ck_wred = get_int_array "wred" j;
           ck_prng = get_rng_words "prng" j;
           ck_coverage = coverage_of_json (field "coverage" j);
-          ck_unvisited =
-            (match field "unvisited" j with
-            | Json.Null -> None
-            | u -> Some (unvisited_of_json u));
-          ck_rotor =
-            (match field "rotor" j with
-            | Json.Null -> None
-            | _ -> Some (get_int_array "rotor" j));
+          ck_unvisited = get_nullable "unvisited" unvisited_of_json j;
+          ck_rotor = get_nullable "rotor" (int_array_of_json "rotor") j;
           ck_phase = phase;
         }
       in
@@ -464,36 +405,8 @@ let walk_of_payload g j =
           (Array.length phase) w;
       Kernel (Kengine.of_checkpoint g ck)
   | "kernel-competing" ->
-      let proc =
-        match get_string "proc" j with
-        | "e-uar" -> Kengine.E_uar
-        | "e-lowest" -> Kengine.E_lowest
-        | "e-highest" -> Kengine.E_highest
-        | "srw" -> Kengine.Srw
-        | "rotor" -> Kengine.Rotor
-        | other -> fail "unknown kernel proc %S" other
-      in
-      let kernel_phase_kind name = function
-        | "blue" -> Kengine.Blue
-        | "red" -> Kengine.Red
-        | other -> fail "field %S has unknown phase kind %S" name other
-      in
-      let phase =
-        match field "phase" j with
-        | Json.List l ->
-            Array.of_list
-              (List.map
-                 (fun p ->
-                   match p with
-                   | Json.Null -> None
-                   | p ->
-                       Some
-                         ( kernel_phase_kind "phase" (get_string "kind" p),
-                           get_int "start_step" p,
-                           get_int "start_vertex" p ))
-                 l)
-        | _ -> fail "field \"phase\" is not an array"
-      in
+      let proc = kernel_proc_of_json j in
+      let phase = kernel_phases_of_json j in
       let bitsets name ~len =
         match field name j with
         | Json.List l ->
@@ -523,10 +436,7 @@ let walk_of_payload g j =
           cc_vcount = get_int_array "vcount" j;
           cc_ecount = get_int_array "ecount" j;
           cc_cover_at = get_int_array "cover_at" j;
-          cc_rotor =
-            (match field "rotor" j with
-            | Json.Null -> None
-            | _ -> Some (get_int_array "rotor" j));
+          cc_rotor = get_nullable "rotor" (int_array_of_json "rotor") j;
           cc_phase = phase;
         }
       in

@@ -33,12 +33,12 @@ val schema : string
 (** ["ewalk-snapshot/2"] — what {!write} stamps.  {!read} also accepts
     ["ewalk-snapshot/1"]. *)
 
-type walk =
+type walk = Walk.t =
   | Eprocess of Ewalk.Eprocess.t
   | Srw of Ewalk.Srw.t
   | Rotor of Ewalk.Rotor.t
   | Kernel of Ewalk_kernel.Engine.t
-      (** The processes that can be snapshotted.  [Kernel] carries a
+      (** The processes that can be snapshotted ({!Walk.t}).  [Kernel] carries a
           multi-walker engine in either mode: a cooperating engine
           serializes under payload kind ["kernel"] (positions, per-walker
           step/phase counters, shared coverage/partition and the packed
@@ -52,10 +52,14 @@ type walk =
           functions). *)
 
 val kind_name : walk -> string
-(** The process name, e.g. ["e-process(uar)"], ["lazy-srw"]. *)
+(** {!Walk.name}: the process name, e.g. ["e-process(uar)"],
+    ["lazy-srw"]. *)
 
 val walk_steps : walk -> int
+(** {!Walk.steps}. *)
+
 val walk_position : walk -> int
+(** {!Walk.position}. *)
 
 type error =
   | Io of string  (** file unreadable / unwritable *)

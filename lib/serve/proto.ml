@@ -5,7 +5,7 @@
 
 module Json = Ewalk_obs.Json
 
-type mode = Cooperating | Competing
+type mode = Ewalk_kernel.Engine.mode = Cooperating | Competing
 
 let mode_name = function
   | Cooperating -> "cooperating"
@@ -43,17 +43,9 @@ let max_steps_per_request = 50_000_000
 let max_family_len = 64
 
 (* The processes a session can run: exactly the Snapshot-serializable
-   subset (hibernation needs Snapshot.write to succeed).  The kernel
-   engine ports everything but lazy-srw. *)
-let single_specs =
-  [ "e-process"; "e-process:lowest"; "e-process:highest"; "srw"; "lazy-srw"; "rotor" ]
-
-let kernel_specs =
-  [ "e-process"; "e-process:lowest"; "e-process:highest"; "srw"; "rotor" ]
-
+   walks (hibernation needs Snapshot.write to succeed). *)
 let snapshottable ~walkers ~mode spec =
-  if walkers > 1 || mode = Competing then List.mem spec kernel_specs
-  else List.mem spec single_specs
+  List.mem spec (Ewalk_resume.Walk.specs ~walkers ~mode)
 
 let config_to_json c =
   Json.Obj

@@ -8,7 +8,7 @@
     process, an oversized graph or a negative step count can never crash
     the daemon — they are answered and forgotten. *)
 
-type mode = Cooperating | Competing
+type mode = Ewalk_kernel.Engine.mode = Cooperating | Competing
 
 type config = {
   family : string;  (** graph family spec, e.g. ["regular:4"] *)
@@ -32,10 +32,8 @@ val internal : string -> error
 
 val snapshottable : walkers:int -> mode:mode -> string -> bool
 (** Whether the process spec can be served: it must round-trip through
-    {!Ewalk_resume.Snapshot} (hibernation depends on it).  Single-walker
-    cooperating sessions accept the e-process rules, [srw], [lazy-srw]
-    and [rotor]; multi-walker or competing sessions accept the kernel
-    ports (everything but [lazy-srw]). *)
+    {!Ewalk_resume.Snapshot} (hibernation depends on it), so it must be
+    one of {!Ewalk_resume.Walk.specs} for this walker count and mode. *)
 
 val max_walkers : int
 val max_steps_per_request : int

@@ -9,9 +9,8 @@
 open Ewalk_graph
 module Obs = Ewalk_obs
 module Json = Obs.Json
-module Rng = Ewalk_prng.Rng
-module Kengine = Ewalk_kernel.Engine
 module Snapshot = Ewalk_resume.Snapshot
+module Walk = Ewalk_resume.Walk
 
 type summary = {
   s_steps : int;
@@ -25,7 +24,7 @@ type t = {
   sid : string;
   cfg : Proto.config;
   dir : string;
-  mutable walk : Snapshot.walk option;
+  mutable walk : Walk.t option;
   mutable hsum : summary;  (* last known state; authoritative when hibernated *)
   mutable lru : int;
 }
@@ -40,99 +39,20 @@ let meta_path t = Filename.concat t.dir "session.json"
 
 (* -- walk construction ----------------------------------------------------- *)
 
-let kernel_proc_of_spec = function
-  | "e-process" -> Some Kengine.E_uar
-  | "e-process:lowest" -> Some Kengine.E_lowest
-  | "e-process:highest" -> Some Kengine.E_highest
-  | "srw" -> Some Kengine.Srw
-  | "rotor" -> Some Kengine.Rotor
-  | _ -> None
-
-(* Mirrors eproc's make_snapshot_walk: start vertex 0, the rng already
-   advanced past the graph build.  Proto validated the spec, so the
-   final wildcard is unreachable for accepted configs. *)
-let build_walk (c : Proto.config) g rng =
-  if c.walkers > 1 || c.mode = Proto.Competing then
-    match kernel_proc_of_spec c.process with
-    | None -> Error (Proto.err 400 "unknown_process" c.process)
-    | Some kp ->
-        let mode =
-          match c.mode with
-          | Proto.Cooperating -> Kengine.Cooperating
-          | Proto.Competing -> Kengine.Competing
-        in
-        Ok
-          (Snapshot.Kernel
-             (Kengine.create_spread ~mode kp g rng ~walkers:c.walkers))
-  else
-    let start = 0 in
-    match c.process with
-    | "e-process" -> Ok (Snapshot.Eprocess (Ewalk.Eprocess.create g rng ~start))
-    | "e-process:lowest" ->
-        Ok
-          (Snapshot.Eprocess
-             (Ewalk.Eprocess.create ~rule:Ewalk.Eprocess.Lowest_slot g rng
-                ~start))
-    | "e-process:highest" ->
-        Ok
-          (Snapshot.Eprocess
-             (Ewalk.Eprocess.create ~rule:Ewalk.Eprocess.Highest_slot g rng
-                ~start))
-    | "srw" -> Ok (Snapshot.Srw (Ewalk.Srw.create g rng ~start))
-    | "lazy-srw" -> Ok (Snapshot.Srw (Ewalk.Srw.create_lazy g rng ~start))
-    | "rotor" ->
-        Ok
-          (Snapshot.Rotor
-             (Ewalk.Rotor.create ~randomize_rotors:true g rng ~start))
-    | other -> Error (Proto.err 400 "unknown_process" other)
-
-let walk_graph = function
-  | Snapshot.Eprocess p -> (Ewalk.Eprocess.process p).Ewalk.Cover.graph
-  | Snapshot.Srw w -> (Ewalk.Srw.process w).Ewalk.Cover.graph
-  | Snapshot.Rotor r -> (Ewalk.Rotor.process r).Ewalk.Cover.graph
-  | Snapshot.Kernel k -> Kengine.graph k
-
-let all_walkers_covered k =
-  let w = Kengine.walkers k in
-  let rec go i = i >= w || (Kengine.walker_cover_step k i <> None && go (i + 1)) in
-  go 0
-
-let walk_covered = function
-  | Snapshot.Eprocess p ->
-      Ewalk.Coverage.all_vertices_visited (Ewalk.Eprocess.coverage p)
-  | Snapshot.Srw w ->
-      Ewalk.Coverage.all_vertices_visited (Ewalk.Srw.coverage w)
-  | Snapshot.Rotor r ->
-      Ewalk.Coverage.all_vertices_visited (Ewalk.Rotor.coverage r)
-  | Snapshot.Kernel k ->
-      if Kengine.mode k = Kengine.Competing then all_walkers_covered k
-      else Ewalk.Coverage.all_vertices_visited (Kengine.coverage k)
+(* Start vertex 0, the rng already advanced past the graph build — what
+   eproc does.  Proto validated the spec, so [None] is unreachable for
+   accepted configs. *)
+let fresh_walk (c : Proto.config) g rng =
+  match Walk.of_spec ~walkers:c.walkers ~mode:c.mode c.process g rng with
+  | Some w -> Ok w
+  | None -> Error (Proto.err 400 "unknown_process" c.process)
 
 let summarize_walk w =
-  let coverage_counts cov =
-    (Ewalk.Coverage.vertices_visited cov, Ewalk.Coverage.edges_visited cov)
-  in
-  let s_vertices, s_edges =
-    match w with
-    | Snapshot.Eprocess p -> coverage_counts (Ewalk.Eprocess.coverage p)
-    | Snapshot.Srw s -> coverage_counts (Ewalk.Srw.coverage s)
-    | Snapshot.Rotor r -> coverage_counts (Ewalk.Rotor.coverage r)
-    | Snapshot.Kernel k ->
-        if Kengine.mode k = Kengine.Competing then begin
-          (* Per-walker visited sets: report the furthest walker. *)
-          let v = ref 0 and e = ref 0 in
-          for i = 0 to Kengine.walkers k - 1 do
-            v := max !v (Kengine.walker_vertices_visited k i);
-            e := max !e (Kengine.walker_edges_visited k i)
-          done;
-          (!v, !e)
-        end
-        else coverage_counts (Kengine.coverage k)
-  in
+  let s_vertices, s_edges = Walk.visit_counts w in
   {
-    s_steps = Snapshot.walk_steps w;
-    s_position = Snapshot.walk_position w;
-    s_covered = walk_covered w;
+    s_steps = Walk.steps w;
+    s_position = Walk.position w;
+    s_covered = Walk.covered w;
     s_vertices;
     s_edges;
   }
@@ -205,7 +125,7 @@ let meta_of_json j =
 let zero_summary = { s_steps = 0; s_position = 0; s_covered = false; s_vertices = 1; s_edges = 0 }
 
 let create ~id ~dir ~graph ~rng cfg =
-  match build_walk cfg graph rng with
+  match fresh_walk cfg graph rng with
   | Error e -> Error e
   | Ok w ->
       let t = { sid = id; cfg; dir; walk = Some w; hsum = zero_summary; lru = 0 } in
@@ -246,7 +166,7 @@ let materialize t ~graph ~rng =
       else (
         (* Recovered session that never hibernated: its walk never left
            step 0, so rebuilding from the seed is exact. *)
-        match build_walk t.cfg graph rng with
+        match fresh_walk t.cfg graph rng with
         | Error e -> Error e
         | Ok w ->
             t.walk <- Some w;
@@ -259,77 +179,24 @@ let with_walk t f =
 
 (* -- stepping -------------------------------------------------------------- *)
 
-let step_one = function
-  | Snapshot.Eprocess p -> Ewalk.Eprocess.step p
-  | Snapshot.Srw s -> Ewalk.Srw.step s
-  | Snapshot.Rotor r -> Ewalk.Rotor.step r
-  | Snapshot.Kernel k -> Kengine.step k
-
 let step ?pool t k =
   with_walk t @@ fun w ->
-  (match w with
-  | Snapshot.Eprocess p -> Ewalk.Eprocess.run_steps p k
-  | Snapshot.Srw s -> Ewalk.Srw.run_steps s k
-  | Snapshot.Rotor r -> for _ = 1 to k do Ewalk.Rotor.step r done
-  | Snapshot.Kernel e ->
-      let wk = Kengine.walkers e in
-      if wk > 1 then begin
-        (* Whole rounds take the engine's batched path (sharded across
-           the pool in competing mode); the remainder steps stay on the
-           same round-robin order, so the state sequence is identical to
-           k single steps. *)
-        let rounds = k / wk in
-        if rounds > 0 then Kengine.run_rounds ?pool e rounds;
-        for _ = 1 to k - (rounds * wk) do Kengine.step e done
-      end
-      else for _ = 1 to k do Kengine.step e done);
-  Ok (Snapshot.walk_steps w)
+  Walk.run_steps ?pool w k;
+  Ok (Walk.steps w)
 
 let run_to_cover ?pool t ~cap =
   with_walk t @@ fun w ->
-  let g = walk_graph w in
-  let cap = match cap with Some c -> c | None -> Ewalk.Cover.default_cap g in
-  (match w with
-  | Snapshot.Eprocess p -> ignore (Ewalk.Eprocess.run_to_vertex_cover ~cap p)
-  | Snapshot.Srw s -> ignore (Ewalk.Srw.run_to_vertex_cover ~cap s)
-  | Snapshot.Rotor r ->
-      let cov = Ewalk.Rotor.coverage r in
-      while
-        (not (Ewalk.Coverage.all_vertices_visited cov))
-        && Ewalk.Rotor.steps r < cap
-      do
-        Ewalk.Rotor.step r
-      done
-  | Snapshot.Kernel e ->
-      if Kengine.mode e = Kengine.Competing then
-        ignore (Kengine.run_until_first_cover ?pool ~cap e)
-      else
-        let cov = Kengine.coverage e in
-        while
-          (not (Ewalk.Coverage.all_vertices_visited cov))
-          && Kengine.steps e < cap
-        do
-          Kengine.step e
-        done);
-  Ok (Snapshot.walk_steps w)
+  ignore (Walk.run_to_cover ?pool ?cap w);
+  Ok (Walk.steps w)
 
 (* -- trace streaming ------------------------------------------------------- *)
 
-let set_observer w obs =
-  match w with
-  | Snapshot.Eprocess p -> Ewalk.Eprocess.set_observer p obs
-  | Snapshot.Srw s -> Ewalk.Srw.set_observer s obs
-  | Snapshot.Rotor r -> Ewalk.Rotor.set_observer r obs
-  | Snapshot.Kernel k ->
-      Kengine.set_observer k
-        (Option.map (fun f -> fun ~walker:_ ev -> f ev) obs)
-
 let stream t ~max_steps ~push =
   with_walk t @@ fun w ->
-  let g = walk_graph w in
+  let g = Walk.graph w in
   let n = Graph.n g in
-  let steps0 = Snapshot.walk_steps w in
-  let start = Snapshot.walk_position w in
+  let steps0 = Walk.steps w in
+  let start = Walk.position w in
   (* Track exactly what a replay shadow of this stream sees, so the
      run_end covered flag can never contradict it: the start vertex plus
      every streamed step vertex. *)
@@ -341,39 +208,29 @@ let stream t ~max_steps ~push =
       incr seen_count
     end
   in
-  push
-    (Obs.Trace.Run_start
-       { name = Snapshot.kind_name w; n; m = Graph.m g; start });
-  (match Obs.Runlog.current () with
-  | Some r ->
-      push
-        (Obs.Trace.Run_info
-           {
-             run_id = r.Obs.Runlog.run_id;
-             parent_run_id = r.Obs.Runlog.parent_run_id;
-           })
-  | None -> ());
-  if steps0 > 0 then push (Obs.Trace.Resume { step = steps0 });
+  Obs.Trace.prologue
+    ?resumed_at:(if steps0 > 0 then Some steps0 else None)
+    ~name:(Walk.name w) ~n ~m:(Graph.m g) ~start push;
   mark start;
-  set_observer w
+  Walk.set_observer w
     (Some
        (fun ev ->
          (match ev with Obs.Trace.Step { vertex; _ } -> mark vertex | _ -> ());
          push ev));
   let stepped = ref 0 in
   Fun.protect
-    ~finally:(fun () -> set_observer w None)
+    ~finally:(fun () -> Walk.set_observer w None)
     (fun () ->
-      while !stepped < max_steps && not (walk_covered w) do
-        step_one w;
+      while !stepped < max_steps && not (Walk.covered w) do
+        Walk.step w;
         incr stepped
       done);
   let tail_covered = !seen_count = n in
   (* A fresh stream's flag must equal the shadow's union verdict; a
      resumed stream may also assert true coverage the tail alone cannot
      show (the verifier only refutes false-with-covered-tail). *)
-  let covered = tail_covered || (steps0 > 0 && walk_covered w) in
-  push (Obs.Trace.Run_end { steps = Snapshot.walk_steps w; covered });
+  let covered = tail_covered || (steps0 > 0 && Walk.covered w) in
+  push (Obs.Trace.Run_end { steps = Walk.steps w; covered });
   Ok !stepped
 
 (* -- info / delete --------------------------------------------------------- *)

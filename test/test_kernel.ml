@@ -74,6 +74,46 @@ let packed_int_allocates_nothing () =
       true (words < 16.)
   end
 
+(* Engine steps allocate nothing without an observer: in cooperating
+   mode at W = 1 and W = 4 and in competing mode at W = 4, and over a
+   whole cover of a cubic graph with its many blue/red transitions. *)
+let engine_steps_allocate_nothing () =
+  if Sys.backend_type = Sys.Native then begin
+    let rng = Rng.create ~seed:29 () in
+    let g = Gen_regular.random_regular rng 2_000 4 in
+    List.iter
+      (fun (label, mode, walkers) ->
+        let e = Engine.create_spread ~mode Engine.E_uar g rng ~walkers in
+        let steps = 100_000 in
+        let w0 = Gc.minor_words () in
+        for _ = 1 to steps do
+          Engine.step e
+        done;
+        let words = Gc.minor_words () -. w0 in
+        Alcotest.(check bool)
+          (Printf.sprintf "%s: %.0f minor words over %d steps" label words
+             steps)
+          true (words < 16.))
+      [
+        ("cooperating W=1", Engine.Cooperating, 1);
+        ("cooperating W=4", Engine.Cooperating, 4);
+        ("competing W=4", Engine.Competing, 4);
+      ];
+    let g3 = Gen_regular.random_regular rng 20_000 3 in
+    let e = Engine.create Engine.E_uar g3 rng ~starts:[| 0 |] in
+    let cov = Engine.coverage e in
+    let w0 = Gc.minor_words () in
+    while not (Coverage.all_vertices_visited cov) do
+      Engine.step e
+    done;
+    let words = Gc.minor_words () -. w0 in
+    Alcotest.(check bool) "red steps taken" true (Engine.red_steps e > 1000);
+    Alcotest.(check bool)
+      (Printf.sprintf "cubic cover: %.0f minor words over %d steps" words
+         (Engine.steps e))
+      true (words < 16.)
+  end
+
 let packed_root_not_advanced () =
   let root = Rng.create ~seed:17 () in
   let before = Rng.save root in
@@ -648,6 +688,12 @@ let checkpoint_rejects_corruption () =
   Alcotest.check_raises "inconsistent counters"
     (Invalid_argument "Engine.of_checkpoint: inconsistent step counters")
     (fun () -> ignore (Engine.of_checkpoint g bad_steps));
+  let phase = Array.copy ck.Engine.ck_phase in
+  phase.(1) <- Some (Engine.Red, -3, 0);
+  Alcotest.check_raises "phase before step 0"
+    (Invalid_argument "Engine.of_checkpoint: phase starts before step 0")
+    (fun () ->
+      ignore (Engine.of_checkpoint g { ck with Engine.ck_phase = phase }));
   let competing =
     Engine.create_spread ~mode:Engine.Competing Engine.E_uar g
       (Rng.create ~seed:57 ()) ~walkers:2
@@ -781,4 +827,9 @@ let () =
         [ Alcotest.test_case "create/mode guards" `Quick create_validation ] );
       ( "competing",
         [ Alcotest.test_case "first cover" `Quick competing_first_cover ] );
+      ( "allocation",
+        [
+          Alcotest.test_case "engine steps allocate nothing" `Quick
+            engine_steps_allocate_nothing;
+        ] );
     ]

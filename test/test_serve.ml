@@ -137,6 +137,97 @@ let expect_proto_error ~status ~code = function
       Alcotest.(check int) "status" status e.Proto.status;
       Alcotest.(check string) "code" code e.Proto.code
 
+(* Every --process spec against every walker count and mode the session
+   protocol distinguishes: exactly the triples of [spec_pins] below are
+   servable, every other one is a 400 [unknown_process] naming the spec. *)
+let all_specs =
+  [
+    "e-process"; "e-process:lowest"; "e-process:highest"; "srw"; "lazy-srw";
+    "v-process"; "rotor"; "rwc:2"; "luf"; "oldest"; "metropolis";
+  ]
+
+let spec_triples =
+  List.concat_map
+    (fun spec ->
+      List.concat_map
+        (fun walkers ->
+          List.map
+            (fun mode -> (spec, walkers, mode))
+            [ Proto.Cooperating; Proto.Competing ])
+        [ 1; 4 ])
+    all_specs
+
+(* (spec, walkers, mode) -> MD5 of the session's stream bytes (create,
+   step 500, stream 200; run_info lines dropped) and of the hibernated
+   snapshot payload, on regular:4 n=200 seed 7.  A change to any draw,
+   event or snapshot field moves a digest. *)
+let spec_pins =
+  [
+    ("e-process", 1, Proto.Cooperating,
+      "c06d9fd355988e635b9c1295325a634e",
+      "414400d36e61c0a9130bb56d86f92094");
+    ("e-process", 1, Proto.Competing,
+      "f43a58286bf62f418691e0a01a3e00fb",
+      "d078b342078c9629c6aa8263fffe3140");
+    ("e-process", 4, Proto.Cooperating,
+      "bbde0e3ba84c4274c5e979f0d45d0239",
+      "d86cc311bf663db89d05b03c99bf6d11");
+    ("e-process", 4, Proto.Competing,
+      "19dbe13174938b78d15c854b7e5ab8cc",
+      "142bf1d0e944ec98cb90667b69c19cfb");
+    ("e-process:lowest", 1, Proto.Cooperating,
+      "e64165a02bb3345f2556c55f34287df2",
+      "c511a573d6113d86f230cd6008313891");
+    ("e-process:lowest", 1, Proto.Competing,
+      "842acc0ebe8fa719bc4733331bc003f0",
+      "57be0c6b9bc4cc7af9454bcbcb5ea695");
+    ("e-process:lowest", 4, Proto.Cooperating,
+      "686665d587f6f9032a761d302d2ea514",
+      "34beb8851b1cd90ef6a4f19e02249e73");
+    ("e-process:lowest", 4, Proto.Competing,
+      "bb4e07ce966d034aa8832c09285b8ca7",
+      "eb428a13bd3a30cb8e4d4daccf732ebb");
+    ("e-process:highest", 1, Proto.Cooperating,
+      "b97593d6946bbd0502d98dc82ead06f1",
+      "bb696806f662842c5367671aeb799b3d");
+    ("e-process:highest", 1, Proto.Competing,
+      "13ee933aed6d14d0b79fff00c264de09",
+      "94f0ebd94dc20193cc73eb0c56560acb");
+    ("e-process:highest", 4, Proto.Cooperating,
+      "fb974fd7b3662948ecd699f3da0a5e80",
+      "83ff2b3fb206809becbd5207e6153bab");
+    ("e-process:highest", 4, Proto.Competing,
+      "e82fd9e3d11ae3a6f7a863f8ff9dffb5",
+      "ec3e1ff4e1fbd4a9399f80083f61e42b");
+    ("srw", 1, Proto.Cooperating,
+      "9692f0ee1be6d13780110afc7d6fd284",
+      "3cc6e06aa97904efd00160bd060cfb59");
+    ("srw", 1, Proto.Competing,
+      "45d8c8b31740f21b9eebb7b51abc48de",
+      "41f0e0b51d9908c606d62ef3996b3851");
+    ("srw", 4, Proto.Cooperating,
+      "1eba63456cc1cb009000bce6847b71b3",
+      "7b65757fc65bb7d45aac57da23b518a0");
+    ("srw", 4, Proto.Competing,
+      "b97e10e8540a5d8f30c546e0f8deb9ce",
+      "0e3a70a8cc7273eae59f8aea3d6c6f2d");
+    ("lazy-srw", 1, Proto.Cooperating,
+      "8334cbf6f48244110f873c136b916be7",
+      "f821b848b1234fe00f95957934b72a20");
+    ("rotor", 1, Proto.Cooperating,
+      "dc7739945043749f13917f72cb4feebc",
+      "70899cf91b1ad6021b38310ea2ec23c5");
+    ("rotor", 1, Proto.Competing,
+      "e0caa6d21e19350a6b4e43c31ab4e8f6",
+      "5ad5c85bbab32fde5d5514ce2aba03ef");
+    ("rotor", 4, Proto.Cooperating,
+      "ec9c7f12a83b0f3bf22a83906ebb1b4c",
+      "9b44e23d46791c42a055088eea5313e4");
+    ("rotor", 4, Proto.Competing,
+      "c8d487217b6bd452d9ebdff1add7a3e2",
+      "3e9a70f3bea23747c38d8a19ba23295c");
+  ]
+
 let proto_config_rejections () =
   let parse s = ok_or_fail (Proto.parse_body s) in
   let of_json ?(max_n = 1000) s = Proto.config_of_json ~max_n (parse s) in
@@ -173,6 +264,40 @@ let proto_config_rejections () =
   expect_proto_error ~status:400 ~code:"bad_family"
     (of_json
        (Printf.sprintf {|{"family":"%s","n":16}|} (String.make 80 'x')));
+  List.iter
+    (fun (spec, walkers, mode) ->
+      let label =
+        Printf.sprintf "%s w=%d %s" spec walkers (Proto.mode_name mode)
+      in
+      let body =
+        Json.Obj
+          [
+            ("family", Json.String "regular:4");
+            ("n", Json.Int 200);
+            ("process", Json.String spec);
+            ("walkers", Json.Int walkers);
+            ("mode", Json.String (Proto.mode_name mode));
+          ]
+      in
+      let pinned =
+        List.exists
+          (fun (s, w, m, _, _) -> s = spec && w = walkers && m = mode)
+          spec_pins
+      in
+      match Proto.config_of_json ~max_n:1000 body with
+      | Ok _ -> Alcotest.(check bool) (label ^ " accepted") true pinned
+      | Error e ->
+          Alcotest.(check bool) (label ^ " rejected") false pinned;
+          Alcotest.(check int) (label ^ " status") 400 e.Proto.status;
+          Alcotest.(check string)
+            (label ^ " code") "unknown_process" e.Proto.code;
+          Alcotest.(check string) (label ^ " message")
+            (Printf.sprintf
+               "process %S is not servable with walkers=%d mode=%s (sessions \
+                must be snapshottable)"
+               spec walkers (Proto.mode_name mode))
+            e.Proto.message)
+    spec_triples;
   (match Proto.parse_body "{nope" with
   | Error e -> Alcotest.(check string) "bad json code" "bad_json" e.Proto.code
   | Ok _ -> Alcotest.fail "parsed garbage");
@@ -499,6 +624,66 @@ let prop_lifecycle_equivalence =
             QCheck.Test.fail_reportf "snapshot payloads diverged for %s"
               (scenario_print (cfg, ops));
           true))
+
+let md5 s = Digest.to_hex (Digest.string s)
+
+let session_pins () =
+  with_registry @@ fun reg ->
+  let got =
+    List.map
+      (fun (spec, walkers, mode, _, _) ->
+        let cfg =
+          {
+            Proto.family = "regular:4";
+            n = 200;
+            process = spec;
+            seed = 7;
+            walkers;
+            mode;
+          }
+        in
+        let id =
+          match Registry.create_session reg cfg with
+          | Ok s -> Session.id s
+          | Error e -> Alcotest.fail e.Proto.message
+        in
+        let buf = Buffer.create 4096 in
+        (match
+           Registry.with_session reg id (fun s ~pool ->
+               Result.bind (Session.step ?pool s 500) (fun _ ->
+                   Session.stream s ~max_steps:200 ~push:(function
+                     | Trace.Run_info _ -> ()
+                     | ev ->
+                         Buffer.add_string buf (Trace.event_to_string ev);
+                         Buffer.add_char buf '\n')))
+         with
+        | Ok _ -> ()
+        | Error e -> Alcotest.fail e.Proto.message);
+        (match Registry.hibernate reg id with
+        | Ok () -> ()
+        | Error e -> Alcotest.fail e.Proto.message);
+        let payload =
+          match Registry.find reg id with
+          | Some s -> (
+              match Json.of_string (read_file (Session.snapshot_path s)) with
+              | Ok j -> (
+                  match Json.member "payload" j with
+                  | Some p -> Json.to_string p
+                  | None -> Alcotest.fail "snapshot has no payload")
+              | Error e -> Alcotest.fail e)
+          | None -> Alcotest.fail ("session vanished: " ^ id)
+        in
+        (spec, walkers, mode, md5 (Buffer.contents buf), md5 payload))
+      spec_pins
+  in
+  List.iter2
+    (fun (spec, walkers, mode, stream, snap) (_, _, _, stream', snap') ->
+      let label =
+        Printf.sprintf "%s w=%d %s" spec walkers (Proto.mode_name mode)
+      in
+      Alcotest.(check string) (label ^ " stream") stream stream';
+      Alcotest.(check string) (label ^ " snapshot") snap snap')
+    spec_pins got
 
 (* -- restart recovery ------------------------------------------------------- *)
 
@@ -894,6 +1079,8 @@ let () =
             registry_restart_recovery;
           Alcotest.test_case "resident cap eviction" `Quick
             registry_resident_cap;
+          Alcotest.test_case "pinned streams and snapshots" `Quick
+            session_pins;
         ] );
       ( "http",
         [
